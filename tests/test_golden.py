@@ -1,0 +1,118 @@
+"""Golden output digests: the CLI's files at a fixed seed, byte for byte.
+
+A refactor that keeps the order of random draws must keep every digest
+below.  A change that alters the draws re-freezes them and says so in
+CHANGES.md.  ``manifest.json`` is hashed without its wall-clock
+``runtime_s``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from qdemux import cli
+
+SEED = "7"
+
+COMMANDS = {
+    "plan": ["plan"],
+    "qpm": ["qpm"],
+    "car": ["car", "--duration", "2", "--points", "50"],
+    "fringe": ["fringe", "--points", "4", "--duration", "2"],
+    "demux": ["demux", "--points", "4", "--duration", "2", "--duration-before", "1",
+              "--duration-after", "1", "--emit-tags"],
+}
+
+GOLDEN = {
+    "car": {
+        "car_analytic.csv":
+            "05068b7a6b6f9dccdf2fb8d222ed1a64fa4d8c7291eb1331f8c992a7aea211c6",
+        "car_mc.csv":
+            "aa9f962b443c0f931ac9ad13f62564952777f09524b4549c54056b93a45b543b",
+        "manifest.json":
+            "8b66b524e5fc47b972553b20b7b1c30bdd9e4334dfcdfed831d373ca045d950b",
+    },
+    "demux": {
+        "crosstalk_matrix.csv":
+            "f914dc22c5fab6675801783a8258770096debeab01998288933477ec2d8e4bf3",
+        "fringe_S1_after.csv":
+            "94e43e420fcf076b931e4b77ba6ded32d0b62f87d435018da54ca75508aff044",
+        "fringe_S1_before.csv":
+            "5fca9de8cfaccdea9be9dd245f06f7aeec3c01aa28b50b4de293ae46d0aa3ee7",
+        "fringe_S2_after.csv":
+            "f9112f52b1a1f2ad3ac765871b26475c7180570106158227390b0a1db42b732c",
+        "fringe_S2_before.csv":
+            "3acafa0455ffb99934490f417a0339b641b86c94e6c044f4f7bb10f98cdd2f99",
+        "fringe_S3_after.csv":
+            "793d657700fc265c11cf4a7f22ac2962a9968e34e32a307d8648641dfc704e11",
+        "fringe_S3_before.csv":
+            "987de7dafcd008d2863bac304cb8a4ec4a4f174eed90397f549e5ea32d8b09e8",
+        "manifest.json":
+            "7df2342a84cba6cbe87bca55a74819e5da89b25366d6fe93192d24f4e5c2bb8e",
+        "pump_solutions.json":
+            "0076d8eed233ce4c6f15738014dccd800b19770883cb27c30dbaf7186f150b11",
+        "tags_S1.csv":
+            "59f06f5589758f451f415b64729e44a467bcfac67d24b400c37e6536bb67d082",
+        "tags_S1.manifest.json":
+            "9f9a6babe0fa50fa69bbb67da1bb1b490f31c2da2fdedfd00ad9a10285680c76",
+        "tags_S2.csv":
+            "11c0a666118bc173c36e87135200c1847bd2909da0989eed6bfbf7d6e408c884",
+        "tags_S2.manifest.json":
+            "9a5c3aa261d5416fc614c15a3f62dcd069334d976ed9e2890c493e5f3e6aa90c",
+        "tags_S3.csv":
+            "957f2601b1ffa671b250d61e6b9641403ec259ca6057d8f990d1abb8c8042e0d",
+        "tags_S3.manifest.json":
+            "8ca97442a6e513d255431ec757219a25212abc7b7d3e2428fa9a1a8d14dcd4f7",
+        "visibility_table.json":
+            "6729670ffaf6f581aa2735595832f186dd0ec54c79e64a300c2310881186b918",
+        "visibility_table.txt":
+            "b84a815fc24c02353a20c7176efe25da388a695cf6f24cde9caf84aabd71a284",
+    },
+    "fringe": {
+        "fringe_S2.csv":
+            "14b37edf440dbc4658e7dc37c0fb42c73bc1bf2c5e3aff40c58c90da9265e74f",
+        "fringe_S2_visibility.json":
+            "ad363fd15dd45589c1b8005bf24c19a4196db83d9da51687cdcd8fe5005f1806",
+        "manifest.json":
+            "a9bc00012672f0d7d73146b33503869675ea9736ae5cf8ff89acff3c5fb18fcf",
+    },
+    "plan": {
+        "manifest.json":
+            "4e50c0d72577a0c32c0d0f00eaeb1d5fcc6903127ce74f5f32aabb611e5fa7da",
+        "plan.csv":
+            "042e8338f54dd64e6b4c495770fa98d1e62b1bb250e3173b08e71167a160409b",
+    },
+    "qpm": {
+        "manifest.json":
+            "de707b8efe3cf438004f2786a3f0f25c71bbce902a77ff022379a17dbdd60eb7",
+        "qpm_pump_tuning.csv":
+            "1b8fe50005634d0bce4d938db33961aa233bd3492aa8ad76948e704db690f657",
+        "qpm_solutions.json":
+            "dd9e7859fece910c16d7f9cc9b4fc62ef05bfb925f473cc09a2deff27331f374",
+        "qpm_temperature_tuning.csv":
+            "b7cab7fe2025610466c8ec26ccbd26edc688c8ee85ccf96a3ae41ef983c63e0e",
+    },
+}
+
+
+def _file_digests(outdir) -> dict[str, str]:
+    out = {}
+    for path in sorted(p for p in outdir.iterdir() if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest.pop("runtime_s")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        out[path.name] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_outputs_match_golden_digests(name, tmp_path):
+    argv = COMMANDS[name] + ["--seed", SEED, "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert _file_digests(tmp_path) == GOLDEN[name]
