@@ -34,7 +34,6 @@ from .detection import (
     accidental_rate,
     apply_detector,
     car_curve,
-    ledger_total,
     loss_report,
 )
 from .events import (
@@ -56,12 +55,14 @@ from .franson import (
     tuning_consistency_report,
 )
 from .montecarlo import (
+    OperatingPoint,
     RunResult,
     ScenarioConfig,
     demux_crosstalk,
     detection_arms,
     fringe_scan,
     generate_run,
+    operating_point,
 )
 from .ring_source import (
     RingSpectrumModel,

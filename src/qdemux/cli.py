@@ -32,6 +32,7 @@ from .montecarlo import (
     detection_arms,
     fringe_scan,
     generate_run,
+    operating_point,
     sub_seed,
 )
 
@@ -183,7 +184,8 @@ def _cmd_sfg_eff(args, config: ScenarioConfig, outdir: Path) -> list[str]:
 
 
 def _cmd_car(args, config: ScenarioConfig, outdir: Path) -> list[str]:
-    arm_signal, arm_idler = detection_arms(config)
+    op = operating_point(config)
+    arm_signal, arm_idler = detection_arms(config, op)
     window = config.coincidence.window_ns
     powers = np.linspace(args.min_uw, args.max_uw, args.points)
     car = detection.car_curve(config.rates, arm_signal, arm_idler, window, powers,
@@ -197,7 +199,7 @@ def _cmd_car(args, config: ScenarioConfig, outdir: Path) -> list[str]:
         cfg = replace(config, chip_power_uw=p, include_umis=False,
                       simulate_all_channels=False, duration_s=args.duration,
                       seed=sub_seed(config.seed, "car-mc", f"{p}"))
-        run = generate_run(cfg)
+        run = generate_run(cfg, op)
         hist = histogram(run.signal_stream, run.active_idler_stream, cfg.coincidence)
         est = analysis.car_from_histogram(hist, window)
         rows.append([f"{p:.2f}", f"{est.car:.6f}", f"{est.sigma:.6f}",
@@ -297,15 +299,7 @@ def _cmd_demux(args, config: ScenarioConfig, outdir: Path) -> list[str]:
 
     if args.emit_tags:
         for pair in config.plan:
-            cfg = replace(
-                config,
-                active_label=pair.signal_label,
-                duration_s=args.duration,
-                seed=sub_seed(config.seed, "demux", pair.signal_label),
-                simulate_all_channels=True,
-                convert_signal=True,
-            )
-            run = generate_run(cfg)
+            run = xtalk["runs"][pair.signal_label]
             streams = [run.signal_stream] + [
                 run.idler_streams[p.idler_label] for p in config.plan
             ]

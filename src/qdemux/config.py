@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from . import sfg
 from .channel_plan import build_plan
-from .detection import DetectorSpec, LossEntry, LossLedger
+from .detection import LOSS_GROUPS, DetectorSpec, LossEntry, LossLedger
 from .events import CoincidenceConfig
 from .franson import FringeModel, UmiSpec
-from .montecarlo import ScenarioConfig
+from .montecarlo import ScenarioConfig, signal_passive_groups
 from .ring_source import RingSpectrumModel, SfwmRates
 from .sfg import ConversionCurve, CrystalSpec, PumpLaser
 
@@ -200,7 +201,10 @@ def _ledger(entries_raw: list, role: str, path: str) -> LossLedger:
         if extra:
             raise ConfigError(f"{here}: unknown keys {sorted(extra)}")
         loss = _require_number(entry, here, "loss_db", minimum=0.0)
-        entries.append(LossEntry(entry["name"], loss, entry.get("group", "")))
+        group = entry.get("group")
+        if group not in LOSS_GROUPS:
+            raise ConfigError(f"{here}.group: expected one of {list(LOSS_GROUPS)}, got {group!r}")
+        entries.append(LossEntry(entry["name"], loss, group))
     return LossLedger(tuple(entries), role=role)
 
 
@@ -244,24 +248,18 @@ def build_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"crystal.sellmeier: {exc}") from None
     design_signal_nm = _require_number(c, "crystal", "design_signal_nm")
     pump_design_nm = _require_number(raw["sfg_pump"], "sfg_pump", "wavelength_nm")
-    if c["temperature_c"] == "auto":
-        probe = CrystalSpec(
-            length_mm=_require_number(c, "crystal", "length_mm", 0.0, True),
-            poling_period_um=_require_number(c, "crystal", "poling_period_um", 0.0, True),
-            temperature_c=25.0,
-            sellmeier=sellmeier,
-            thermal_expansion_per_k=_require_number(c, "crystal", "thermal_expansion_per_k"),
-        )
-        temperature_c = sfg.solve_qpm_temperature(probe, pump_design_nm, design_signal_nm)
-    else:
-        temperature_c = _require_number(c, "crystal", "temperature_c")
+    auto_temperature = c["temperature_c"] == "auto"
     crystal = CrystalSpec(
         length_mm=_require_number(c, "crystal", "length_mm", 0.0, True),
         poling_period_um=_require_number(c, "crystal", "poling_period_um", 0.0, True),
-        temperature_c=temperature_c,
+        # the auto solve scans its own temperatures; 25 degC is a placeholder
+        temperature_c=25.0 if auto_temperature else _require_number(c, "crystal", "temperature_c"),
         sellmeier=sellmeier,
         thermal_expansion_per_k=_require_number(c, "crystal", "thermal_expansion_per_k"),
     )
+    if auto_temperature:
+        crystal = replace(crystal, temperature_c=sfg.solve_qpm_temperature(
+            crystal, pump_design_nm, design_signal_nm))
 
     conv = raw["conversion"]
     eta_device = _require_number(conv, "conversion", "eta_device", 0.0, True)
@@ -404,7 +402,7 @@ def calibrate_pair_coefficient(target_singles_hz: float, chip_power_uw: float,
     singles, including the linear noise share, hit the target rate at the
     operating powers.
     """
-    passive = signal_ledger.linear(groups=("chip", "filters", "sfg_passive"))
+    passive = signal_ledger.linear(groups=signal_passive_groups(convert_signal=True))
     eta = passive * sfg.quantum_efficiency(curve, sfg_power_mw) * detector.efficiency
     if eta <= 0 or chip_power_uw <= 0:
         raise ConfigError("sfwm.pair_coefficient: cannot calibrate with zero efficiency or power")

@@ -31,13 +31,17 @@ def linear_to_db(transmission: float) -> float:
     return -10.0 * np.log10(transmission)
 
 
+# Where a loss sits in the chain, in the order a signal photon meets them.
+LOSS_GROUPS = ("chip", "filters", "sfg_passive", "conversion", "detector")
+
+
 @dataclass(frozen=True)
 class LossEntry:
     """One named loss contribution [dB].
 
-    ``group`` tags where the loss sits in the chain (``chip``, ``filters``,
-    ``sfg_passive``, ``conversion``, ``detector``); reports and the Monte
-    Carlo pipeline use the tags to form subtotals.
+    ``group`` tags where the loss sits in the chain (one of
+    ``LOSS_GROUPS``); reports and the Monte Carlo pipeline use the tags
+    to form subtotals.
     """
 
     name: str
@@ -70,18 +74,6 @@ class LossLedger:
             entries=tuple(e for e in self.entries if e.group not in groups),
             role=self.role,
         )
-
-
-@dataclass(frozen=True)
-class LedgerTotal:
-    total_db: float
-    linear: float
-
-
-def ledger_total(ledger: LossLedger) -> LedgerTotal:
-    """Exact dB sum of a ledger and its linear transmission."""
-    total = ledger.total_db()
-    return LedgerTotal(total_db=total, linear=db_to_linear(total))
 
 
 @dataclass(frozen=True)

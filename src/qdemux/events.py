@@ -82,19 +82,6 @@ class EventStream:
         return cls(label, t, duration_s, seed)
 
 
-def merge_streams(label: str, streams: list[EventStream]) -> EventStream:
-    """Merge streams that share one physical detector into one channel."""
-    if not streams:
-        raise ValueError("nothing to merge")
-    duration = streams[0].duration_s
-    seed = streams[0].seed
-    for s in streams[1:]:
-        if s.duration_s != duration:
-            raise ValueError("cannot merge streams of different duration")
-    merged = np.concatenate([s.timestamps_ps for s in streams])
-    return EventStream.from_unsorted(label, merged, duration, seed)
-
-
 @dataclass(frozen=True)
 class CoincidenceHistogram:
     """Counts of arrival-time differences (b - a) in bins centred on zero.
@@ -287,8 +274,10 @@ def write_streams(streams: list[EventStream], path: str | Path,
 def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
     """Read a tag CSV and its manifest back into streams.
 
-    Raises ``ValueError`` naming the offending line for malformed rows
-    and the offending channel for non-monotone timestamps.
+    Raises ``ValueError`` naming the file and the offending line for
+    malformed rows and rows of a channel the manifest does not list, and
+    the file and the offending channel for timestamps that are not
+    strictly increasing or fall outside ``[0, duration)``.
     """
     path = Path(path)
     manifest = json.loads(_manifest_path(path).read_text())
@@ -310,11 +299,18 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
                 raise ValueError(
                     f"{path}: line {lineno}: time_ps {raw!r} is not an integer"
                 ) from None
-            per_label.setdefault(label, []).append(t)
+            try:
+                per_label[label].append(t)
+            except KeyError:
+                raise ValueError(
+                    f"{path}: line {lineno}: channel {label!r} not in the manifest's "
+                    f"labels {manifest['labels']}"
+                ) from None
     streams = []
     for label in manifest["labels"]:
-        t = np.asarray(per_label.get(label, []), dtype=np.int64)
-        if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError(f"{path}: channel {label!r}: timestamps not strictly increasing")
-        streams.append(EventStream(label, t, manifest["duration_s"], manifest["seed"]))
+        t = np.asarray(per_label[label], dtype=np.int64)
+        try:
+            streams.append(EventStream(label, t, manifest["duration_s"], manifest["seed"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return streams, manifest

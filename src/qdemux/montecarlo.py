@@ -42,6 +42,15 @@ def sub_rng(master: int, stage: str, label: str = "") -> np.random.Generator:
     return np.random.default_rng(sub_seed(master, stage, label))
 
 
+def signal_passive_groups(convert_signal: bool) -> tuple[str, ...]:
+    """Signal-arm loss groups that count as passive survival.
+
+    Conversion and detection are stages of their own; the SFG module's
+    passive losses apply only when the signal is converted.
+    """
+    return ("chip", "filters", "sfg_passive") if convert_signal else ("chip", "filters")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a run needs: device models, losses, powers, timing, seed."""
@@ -94,21 +103,76 @@ class ScenarioConfig:
     def signal_stream_label(self) -> str:
         return f"{self.active_label}'" if self.convert_signal else self.active_label
 
-    def signal_passive_linear(self) -> float:
-        """Signal-arm survival before conversion and detector stages."""
-        if self.convert_signal:
-            groups = ("chip", "filters", "sfg_passive")
-        else:
-            groups = ("chip", "filters")
-        return self.signal_ledger.linear(groups=groups)
+    def signal_passive_ledger(self) -> LossLedger:
+        """Signal-arm losses before the conversion and detector stages."""
+        groups = signal_passive_groups(self.convert_signal)
+        return LossLedger(
+            tuple(e for e in self.signal_ledger.entries if e.group in groups),
+            role=self.signal_ledger.role,
+        )
 
-    def idler_passive_linear(self) -> float:
-        return self.idler_ledger.excluding(("detector",)).linear()
+    def idler_passive_ledger(self) -> LossLedger:
+        """Idler-arm losses before the detector."""
+        return self.idler_ledger.excluding(("detector",))
 
     def signal_detector(self) -> DetectorSpec:
         if self.convert_signal:
             return self.apd2
         return self.direct_signal_detector or self.apd1
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """Pump, conversion efficiency, acceptances and arm survivals, solved once.
+
+    ``acceptance`` maps each simulated pair label to the share of its
+    signal photons sent to the signal detector; without conversion that
+    is 1 for the active channel and 0 for the others.  Runs that differ
+    only in chip power, duration, seed, interferometers or by simulating
+    fewer channels share one.
+    """
+
+    pump_nm: float | None
+    eta_quantum: float
+    acceptance: dict[str, float]
+    signal_survival: float
+    idler_survival: float
+
+
+def operating_point(config: ScenarioConfig) -> OperatingPoint:
+    """Solve the conversion pump for the active channel and derive the rest.
+
+    Raises :class:`~qdemux.sfg.UnaddressableChannelError` when no pump
+    wavelength inside the tuning window addresses the active channel.
+    """
+    active = config.active_pair
+    pairs = config.plan if config.simulate_all_channels else (active,)
+    if config.convert_signal:
+        pump_nm = sfg.solve_pump_wavelength(
+            config.crystal, active.signal, config.sfg_pump.window_nm
+        )
+        matched_thz = wavelength_to_frequency(sfg.matched_signal_nm(config.crystal, pump_nm))
+        eta_q = sfg.quantum_efficiency(config.curve, config.sfg_pump.power_mw)
+        # one call per channel: np.sinc over a longer array can differ in the last bit
+        acceptance = {
+            pair.label: float(sfg.acceptance(
+                config.crystal, pump_nm,
+                (pair.signal.center_frequency_thz - matched_thz) * 1e3,
+            ))
+            for pair in pairs
+        }
+    else:
+        pump_nm = None
+        eta_q = 1.0
+        acceptance = {pair.label: 1.0 if pair.label == active.label else 0.0
+                      for pair in pairs}
+    return OperatingPoint(
+        pump_nm=pump_nm,
+        eta_quantum=eta_q,
+        acceptance=acceptance,
+        signal_survival=config.signal_passive_ledger().linear(),
+        idler_survival=config.idler_passive_ledger().linear(),
+    )
 
 
 @dataclass(frozen=True)
@@ -137,57 +201,43 @@ def _truncated_laplace(rng: np.random.Generator, scale: float, n: int,
     return x
 
 
-def generate_run(config: ScenarioConfig) -> RunResult:
+def _route_single(t: np.ndarray, rng: np.random.Generator, delay_ps: float,
+                  include_umis: bool) -> np.ndarray:
+    """Unpaired photons through their arm's interferometer, when it is in place."""
+    if not include_umis:
+        return t
+    alive, long_arm = sample_single_paths(t.size, rng)
+    return (t + np.where(long_arm, delay_ps, 0.0))[alive]
+
+
+def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> RunResult:
     """Simulate one accumulation and return detected timestamp streams.
 
     The converted-signal detector sees every simulated channel (matched
     channel converted efficiently, neighbours suppressed by the
     conversion acceptance); each idler channel has its own detector.
-    Raises :class:`~qdemux.sfg.UnaddressableChannelError` when no pump
+    ``op`` defaults to ``operating_point(config)``, which raises
+    :class:`~qdemux.sfg.UnaddressableChannelError` when no pump
     wavelength inside the tuning window addresses the active channel.
     """
+    if op is None:
+        op = operating_point(config)
     master = config.seed
     duration_ps = int(round(config.duration_s * 1e12))
     active = config.active_pair
     delay_ps = config.signal_umi.delay_ps
     tau_ps = ring_source.pair_correlation_time_ps(config.ring)
 
-    if config.convert_signal:
-        pump_nm = sfg.solve_pump_wavelength(
-            config.crystal, active.signal, config.sfg_pump.window_nm
-        )
-        matched_nm = sfg.matched_signal_nm(config.crystal, pump_nm)
-        matched_thz = wavelength_to_frequency(matched_nm)
-        eta_q = sfg.quantum_efficiency(config.curve, config.sfg_pump.power_mw)
-    else:
-        pump_nm = None
-        matched_thz = 0.0
-        eta_q = 1.0
-
-    passive_sig = config.signal_passive_linear()
-    passive_idl = config.idler_passive_linear()
-
-    if config.simulate_all_channels:
-        pairs = list(config.plan)
-    else:
-        pairs = [active]
-
+    pairs = config.plan if config.simulate_all_channels else (active,)
     sig_parts: list[np.ndarray] = []
     idler_streams: dict[str, EventStream] = {}
     per_channel: dict[str, dict] = {}
 
     for pair in pairs:
         label = pair.label
-        if config.convert_signal:
-            det_ghz = (pair.signal.center_frequency_thz - matched_thz) * 1e3
-            acc = float(sfg.acceptance(config.crystal, pump_nm, det_ghz))
-            routed_to_signal_det = True
-        else:
-            acc = 1.0
-            routed_to_signal_det = pair is active
-
-        p_sig = passive_sig * eta_q * acc if routed_to_signal_det else 0.0
-        p_idl = passive_idl
+        acc = op.acceptance[label]
+        p_sig = op.signal_survival * op.eta_quantum * acc
+        p_idl = op.idler_survival
         rate = ring_source.pair_rate(config.rates, config.chip_power_uw, label)
 
         rng_pairs = sub_rng(master, "pairs", label)
@@ -208,23 +258,17 @@ def generate_run(config: ScenarioConfig) -> RunResult:
         t_ionly = rng_pairs.uniform(0.0, duration_ps, n_ionly)
         jit_ionly = _truncated_laplace(rng_jit, tau_ps, n_ionly)
 
-        sig_ch: list[np.ndarray] = []
-        idl_ch: list[np.ndarray] = []
         if config.include_umis:
             paths = sample_pair_paths(config.fringe, n_both, rng_umi)
             shift_s = np.where(paths.signal_long, delay_ps, 0.0)
             shift_i = np.where(paths.idler_long, delay_ps, 0.0)
-            sig_ch.append((t_both + shift_s)[paths.signal_alive])
-            idl_ch.append((t_both + jit_both + shift_i)[paths.idler_alive])
-            alive_s, long_s = sample_single_paths(n_sonly, rng_umi)
-            sig_ch.append((t_sonly + np.where(long_s, delay_ps, 0.0))[alive_s])
-            alive_i, long_i = sample_single_paths(n_ionly, rng_umi)
-            idl_ch.append((t_ionly + jit_ionly + np.where(long_i, delay_ps, 0.0))[alive_i])
+            sig_ch = [(t_both + shift_s)[paths.signal_alive]]
+            idl_ch = [(t_both + jit_both + shift_i)[paths.idler_alive]]
         else:
-            sig_ch.append(t_both)
-            idl_ch.append(t_both + jit_both)
-            sig_ch.append(t_sonly)
-            idl_ch.append(t_ionly + jit_ionly)
+            sig_ch = [t_both]
+            idl_ch = [t_both + jit_both]
+        sig_ch.append(_route_single(t_sonly, rng_umi, delay_ps, config.include_umis))
+        idl_ch.append(_route_single(t_ionly + jit_ionly, rng_umi, delay_ps, config.include_umis))
 
         # spurious linear-noise photons share each arm's survival chain
         rng_ram_s = sub_rng(master, "raman-signal", label)
@@ -235,21 +279,15 @@ def generate_run(config: ScenarioConfig) -> RunResult:
         n_ri = int(rng_ram_i.poisson(raman_idl_rate * config.duration_s))
         t_rs = rng_ram_s.uniform(0.0, duration_ps, n_rs)
         t_ri = rng_ram_i.uniform(0.0, duration_ps, n_ri)
-        if config.include_umis:
-            alive_rs, long_rs = sample_single_paths(n_rs, rng_ram_s)
-            sig_ch.append((t_rs + np.where(long_rs, delay_ps, 0.0))[alive_rs])
-            alive_ri, long_ri = sample_single_paths(n_ri, rng_ram_i)
-            idl_ch.append((t_ri + np.where(long_ri, delay_ps, 0.0))[alive_ri])
-        else:
-            sig_ch.append(t_rs)
-            idl_ch.append(t_ri)
+        sig_ch.append(_route_single(t_rs, rng_ram_s, delay_ps, config.include_umis))
+        idl_ch.append(_route_single(t_ri, rng_ram_i, delay_ps, config.include_umis))
 
-        if routed_to_signal_det:
-            sig_parts.extend(sig_ch)
+        # a channel not routed to the signal detector has p_sig = 0: no signal photons
+        sig_parts.extend(sig_ch)
 
         raw_idler = EventStream.from_unsorted(
             pair.idler_label,
-            np.rint(np.concatenate(idl_ch)).astype(np.int64) if idl_ch else np.empty(0, np.int64),
+            np.rint(np.concatenate(idl_ch)).astype(np.int64),
             config.duration_s,
             master,
         )
@@ -258,7 +296,7 @@ def generate_run(config: ScenarioConfig) -> RunResult:
         )
         per_channel[label] = {
             "pair_rate_hz": rate,
-            "acceptance": acc if routed_to_signal_det else 0.0,
+            "acceptance": acc,
             "signal_survival": p_sig,
             "idler_survival": p_idl,
             "generated_pairs": n_total,
@@ -266,7 +304,7 @@ def generate_run(config: ScenarioConfig) -> RunResult:
 
     raw_signal = EventStream.from_unsorted(
         config.signal_stream_label,
-        np.rint(np.concatenate(sig_parts)).astype(np.int64) if sig_parts else np.empty(0, np.int64),
+        np.rint(np.concatenate(sig_parts)).astype(np.int64),
         config.duration_s,
         master,
     )
@@ -276,40 +314,28 @@ def generate_run(config: ScenarioConfig) -> RunResult:
     )
 
     diagnostics = {
-        "pump_nm": pump_nm,
-        "eta_quantum": eta_q,
+        "pump_nm": op.pump_nm,
+        "eta_quantum": op.eta_quantum,
         "active_idler_label": active.idler_label,
         "per_channel": per_channel,
         "pair_correlation_time_ps": tau_ps,
     }
-    return RunResult(signal_stream, idler_streams, pump_nm, diagnostics)
+    return RunResult(signal_stream, idler_streams, op.pump_nm, diagnostics)
 
 
-def detection_arms(config: ScenarioConfig) -> tuple[DetectionArm, DetectionArm]:
+def detection_arms(config: ScenarioConfig,
+                   op: OperatingPoint | None = None) -> tuple[DetectionArm, DetectionArm]:
     """Analytic detection arms matching the Monte Carlo survival chain.
 
     Interferometers are not included (use them for coincidence scenarios
     without the fringe analysis, e.g. CAR sweeps with
-    ``include_umis=False``).
+    ``include_umis=False``).  ``op`` defaults to ``operating_point(config)``.
     """
-    if config.convert_signal:
-        sig_ledger = config.signal_ledger.excluding(("conversion", "detector"))
-        pump_nm = sfg.solve_pump_wavelength(
-            config.crystal, config.active_pair.signal, config.sfg_pump.window_nm
-        )
-        matched_thz = wavelength_to_frequency(sfg.matched_signal_nm(config.crystal, pump_nm))
-        det_ghz = (config.active_pair.signal.center_frequency_thz - matched_thz) * 1e3
-        conv = sfg.quantum_efficiency(config.curve, config.sfg_pump.power_mw) * float(
-            sfg.acceptance(config.crystal, pump_nm, det_ghz)
-        )
-    else:
-        sig_ledger = LossLedger(
-            tuple(e for e in config.signal_ledger.entries if e.group in ("chip", "filters")),
-            role=config.signal_ledger.role,
-        )
-        conv = 1.0
-    arm_signal = DetectionArm(sig_ledger, config.signal_detector(), conv)
-    arm_idler = DetectionArm(config.idler_ledger.excluding(("detector",)), config.apd1)
+    if op is None:
+        op = operating_point(config)
+    conv = op.eta_quantum * op.acceptance[config.active_pair.label]
+    arm_signal = DetectionArm(config.signal_passive_ledger(), config.signal_detector(), conv)
+    arm_idler = DetectionArm(config.idler_passive_ledger(), config.apd1)
     return arm_signal, arm_idler
 
 
@@ -327,6 +353,7 @@ def fringe_scan(config: ScenarioConfig, phases_rad: np.ndarray,
     pooling is both the lower-variance and the physically honest choice.
     """
     period = franson.temperature_tuning_period_k(config.signal_umi)
+    op = operating_point(config)
     points_raw = []
     for k, phi in enumerate(np.asarray(phases_rad, dtype=float)):
         cfg = replace(
@@ -335,7 +362,7 @@ def fringe_scan(config: ScenarioConfig, phases_rad: np.ndarray,
             duration_s=accumulation_s,
             seed=sub_seed(config.seed, scan_name, str(k)),
         )
-        run = generate_run(cfg)
+        run = generate_run(cfg, op)
         hist = histogram(run.signal_stream, run.active_idler_stream, config.coincidence)
         win = central_window_counts(
             hist, config.coincidence.window_ns,
@@ -368,21 +395,19 @@ class CrosstalkCell:
     background_per_window: float
     sigma: float
 
-    @property
-    def excess_over_background(self) -> float:
-        return self.center - self.background_per_window
-
 
 def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> dict:
     """Address each channel in turn and coincide the converted stream with every idler.
 
-    Returns the crosstalk matrix plus the solved pump wavelengths.
-    Matched entries should tower over the accidental floor; mismatched
-    entries should sit on it, suppressed by the conversion acceptance.
+    Returns the crosstalk matrix, the solved pump wavelengths and the
+    runs themselves, one per addressed channel.  Matched entries should
+    tower over the accidental floor; mismatched entries should sit on
+    it, suppressed by the conversion acceptance.
     """
     duration = duration_s if duration_s is not None else config.duration_s
     matrix: dict[str, dict[str, CrosstalkCell]] = {}
     pumps: dict[str, float] = {}
+    runs: dict[str, RunResult] = {}
     for pair in config.plan:
         cfg = replace(
             config,
@@ -392,7 +417,7 @@ def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> 
             simulate_all_channels=True,
             convert_signal=True,
         )
-        run = generate_run(cfg)
+        run = runs[pair.signal_label] = generate_run(cfg)
         pumps[pair.signal_label] = float(run.pump_nm)
         row: dict[str, CrosstalkCell] = {}
         for other in config.plan:
@@ -407,4 +432,4 @@ def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> 
             sigma = float(np.sqrt(max(win.center, 1) + win.background_sigma_per_window**2))
             row[other.idler_label] = CrosstalkCell(win.center, bg, sigma)
         matrix[pair.signal_label] = row
-    return {"matrix": matrix, "pump_nm": pumps, "duration_s": duration}
+    return {"matrix": matrix, "pump_nm": pumps, "duration_s": duration, "runs": runs}

@@ -66,11 +66,6 @@ class RingSpectrumModel:
         shift_ghz = self.thermo_optic_ghz_per_k * self.temperature_offset_k
         return self.reference_resonance_thz + (mode * self.fsr_ghz + shift_ghz) * 1e-3
 
-    def nearest_mode(self, frequency_thz: float) -> int:
-        shift_ghz = self.thermo_optic_ghz_per_k * self.temperature_offset_k
-        detune_ghz = (frequency_thz - self.reference_resonance_thz) * 1e3 - shift_ghz
-        return int(np.rint(detune_ghz / self.fsr_ghz))
-
 
 def transmission(model: RingSpectrumModel, frequency_thz):
     """Bus-waveguide power transmission at ``frequency_thz`` (THz).

@@ -149,21 +149,22 @@ class PumpLaser:
             )
 
 
-def sfg_wavelength(pump_nm: float, signal_nm: float) -> float:
-    """Sum-frequency wavelength in nm: 1/lam3 = 1/lam_pump + 1/lam_signal."""
-    if pump_nm <= 0 or signal_nm <= 0:
+def sfg_wavelength(pump_nm, signal_nm):
+    """Sum-frequency wavelength in nm, scalars or arrays: 1/lam3 = 1/lam_p + 1/lam_s."""
+    if np.any(np.asarray(pump_nm) <= 0) or np.any(np.asarray(signal_nm) <= 0):
         raise ValueError("wavelengths must be positive")
     return 1.0 / (1.0 / pump_nm + 1.0 / signal_nm)
 
 
-def phase_mismatch(crystal: CrystalSpec, pump_nm: float, signal_nm: float,
-                   temperature_c: float | None = None) -> float:
+def phase_mismatch(crystal: CrystalSpec, pump_nm, signal_nm, temperature_c=None):
     """Quasi-phase-matched wave-vector mismatch [rad/m].
 
     Delta_k = 2*pi * (n3/lam3 - n_p/lam_p - n_s/lam_s - 1/Lambda(T))
 
     with the first-order grating vector of the poling.  Zero means the
-    interaction is phase matched.
+    interaction is phase matched.  Any of the pump, the signal and the
+    temperature may be an array; each point equals the scalar call's
+    value bit for bit.
     """
     t = crystal.temperature_c if temperature_c is None else temperature_c
     lam3_nm = sfg_wavelength(pump_nm, signal_nm)
@@ -182,23 +183,17 @@ def solve_qpm_temperature(crystal: CrystalSpec, pump_nm: float, signal_nm: float
                           t_range_c: tuple[float, float] = (-20.0, 200.0)) -> float:
     """Temperature [degC] at which the interaction phase matches.
 
-    Scans ``t_range_c`` for a sign change of the mismatch and bisects;
-    raises ``ValueError`` when no root lies in the range.
+    Raises ``ValueError`` when no root lies in ``t_range_c``.
     """
     lo, hi = t_range_c
-    grid = np.linspace(lo, hi, 221)
-    vals = np.array([phase_mismatch(crystal, pump_nm, signal_nm, t) for t in grid])
-    idx = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    if len(idx) == 0:
-        raise ValueError(
+    return _first_root(
+        lambda t: phase_mismatch(crystal, pump_nm, signal_nm, t),
+        np.linspace(lo, hi, 221), xtol=1e-6,
+        error=ValueError(
             f"no phase-matching temperature in [{lo}, {hi}] degC for "
             f"pump {pump_nm} nm / signal {signal_nm} nm "
             f"(poling period {crystal.poling_period_um} um)"
-        )
-    i = int(idx[0])
-    return _bisect(
-        lambda t: phase_mismatch(crystal, pump_nm, signal_nm, t),
-        float(grid[i]), float(grid[i + 1]), xtol=1e-6,
+        ),
     )
 
 
@@ -206,18 +201,13 @@ def matched_signal_nm(crystal: CrystalSpec, pump_nm: float,
                       signal_window_nm: tuple[float, float] = (1500.0, 1620.0)) -> float:
     """Signal wavelength [nm] phase matched by ``pump_nm`` at the crystal setting."""
     lo, hi = signal_window_nm
-    grid = np.linspace(lo, hi, 121)
-    vals = np.array([phase_mismatch(crystal, pump_nm, s) for s in grid])
-    idx = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    if len(idx) == 0:
-        raise ValueError(
+    return _first_root(
+        lambda s: phase_mismatch(crystal, pump_nm, s),
+        np.linspace(lo, hi, 121), xtol=1e-9,
+        error=ValueError(
             f"no phase-matched signal in [{lo}, {hi}] nm for pump {pump_nm} nm "
             f"at {crystal.temperature_c} degC"
-        )
-    i = int(idx[0])
-    return _bisect(
-        lambda s: phase_mismatch(crystal, pump_nm, s),
-        float(grid[i]), float(grid[i + 1]), xtol=1e-9,
+        ),
     )
 
 
@@ -238,7 +228,7 @@ def acceptance(crystal: CrystalSpec, pump_nm: float, signal_detuning_ghz) -> flo
         [frequency_to_wavelength(f0_thz + d * 1e-3) for d in np.atleast_1d(det)]
     )
     length_m = crystal.length_mm * 1e-3
-    dk = np.array([phase_mismatch(crystal, pump_nm, s) for s in sig_nm])
+    dk = phase_mismatch(crystal, pump_nm, sig_nm)
     # np.sinc is sin(pi x)/(pi x)
     out = np.sinc(dk * length_m / 2.0 / np.pi) ** 2
     return out if det.ndim else float(out[0])
@@ -271,19 +261,14 @@ def solve_pump_wavelength(crystal: CrystalSpec, signal: ItuChannel | float,
     signal_nm = signal.center_wavelength_nm if isinstance(signal, ItuChannel) else float(signal)
     lo, hi = window_nm
     step = 0.01
-    grid = np.arange(lo, hi + step / 2, step)
-    vals = np.array([phase_mismatch(crystal, p, signal_nm) for p in grid])
-    idx = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    if len(idx) == 0:
-        raise UnaddressableChannelError(
+    return _first_root(
+        lambda p: phase_mismatch(crystal, p, signal_nm),
+        np.arange(lo, hi + step / 2, step), xtol=1e-4,
+        error=UnaddressableChannelError(
             f"channel at {signal_nm:.2f} nm unaddressable at "
             f"{crystal.temperature_c:.2f} degC: no pump in [{lo}, {hi}] nm "
             f"satisfies quasi-phase matching"
-        )
-    i = int(idx[0])
-    return _bisect(
-        lambda p: phase_mismatch(crystal, p, signal_nm),
-        float(grid[i]), float(grid[i + 1]), xtol=1e-4,
+        ),
     )
 
 
@@ -345,10 +330,21 @@ def quantum_from_power(power_eff: float, signal_nm: float, sfg_nm: float) -> flo
     return power_eff * sfg_nm / signal_nm
 
 
-def _bisect(func, lo: float, hi: float, xtol: float, max_iter: int = 200) -> float:
-    """Plain bisection on a bracketed sign change; deterministic."""
-    flo = func(lo)
-    fhi = func(hi)
+def _first_root(mismatch, grid: np.ndarray, xtol: float, error: ValueError,
+                max_iter: int = 200) -> float:
+    """Lowest root of ``mismatch`` on ``grid``; raises ``error`` when there is none.
+
+    The grid is evaluated in one array call to bracket the first sign
+    change, which plain bisection then refines with scalar calls;
+    deterministic.
+    """
+    vals = mismatch(grid)
+    idx = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+    if len(idx) == 0:
+        raise error
+    lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
+    flo = mismatch(lo)
+    fhi = mismatch(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -357,7 +353,7 @@ def _bisect(func, lo: float, hi: float, xtol: float, max_iter: int = 200) -> flo
         raise ValueError("bisection bracket does not straddle a root")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        fmid = func(mid)
+        fmid = mismatch(mid)
         if fmid == 0.0 or (hi - lo) / 2.0 < xtol:
             return mid
         if np.sign(fmid) == np.sign(flo):

@@ -44,6 +44,19 @@ def test_negative_dead_time_names_field(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("entry", [
+    {"name": "typo", "loss_db": 3.0, "group": "filter"},
+    {"name": "ungrouped", "loss_db": 3.0},
+])
+def test_unknown_or_missing_loss_group_names_field(entry):
+    # a loss outside the known groups would be dropped by the Monte Carlo
+    # but kept by the analytic arms
+    raw = baseline_dict()
+    raw["ledgers"]["signal"].append(entry)
+    with pytest.raises(ConfigError, match=r"ledgers\.signal\[7\]\.group"):
+        build_config(raw)
+
+
 def test_bad_active_channel_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"run": {"active_channel": "S9"}}')

@@ -11,7 +11,6 @@ from qdemux.detection import (
     apply_detector,
     car_curve,
     db_to_linear,
-    ledger_total,
     linear_to_db,
     loss_report,
 )
@@ -37,14 +36,14 @@ def idler_ledger():
 
 
 def test_ledger_sums():
-    assert ledger_total(sfg_module_ledger()).total_db == pytest.approx(8.59, abs=1e-12)
-    assert ledger_total(idler_ledger()).total_db == pytest.approx(13.99, abs=1e-12)
+    assert sfg_module_ledger().total_db() == pytest.approx(8.59, abs=1e-12)
+    assert idler_ledger().total_db() == pytest.approx(13.99, abs=1e-12)
 
 
 def test_empty_ledger():
-    total = ledger_total(LossLedger(()))
-    assert total.total_db == 0.0
-    assert total.linear == 1.0
+    ledger = LossLedger(())
+    assert ledger.total_db() == 0.0
+    assert ledger.linear() == 1.0
 
 
 def test_negative_entry_rejected():

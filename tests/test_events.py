@@ -6,7 +6,6 @@ from qdemux.events import (
     EventStream,
     central_window_counts,
     histogram,
-    merge_streams,
     read_streams,
     write_streams,
 )
@@ -73,13 +72,6 @@ def test_from_unsorted_sorts_dedupes_and_clips():
     s = EventStream.from_unsorted("x", np.array([30, 10, 10, -5, 2_000_000_000_000]),
                                   duration_s=1.0, seed=0)
     assert list(s.timestamps_ps) == [10, 30]
-
-
-def test_merge_streams():
-    a = EventStream("a", np.array([10, 30], dtype=np.int64), 1.0, 0)
-    b = EventStream("b", np.array([20], dtype=np.int64), 1.0, 0)
-    m = merge_streams("ab", [a, b])
-    assert list(m.timestamps_ps) == [10, 20, 30]
 
 
 # --- window integrals ---
@@ -162,6 +154,26 @@ def test_read_non_monotone_rejected(tmp_path):
         '{"duration_s": 1.0, "seed": 0, "config_digest": "", "labels": ["A"]}'
     )
     with pytest.raises(ValueError, match="strictly increasing"):
+        read_streams(csv_path)
+
+
+def test_read_unknown_channel_names_file_and_line(tmp_path):
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_text("channel,time_ps\nA,100\nZ,150\nA,200\n")
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "config_digest": "", "labels": ["A"]}'
+    )
+    with pytest.raises(ValueError, match=r"tags\.csv: line 3: channel 'Z'"):
+        read_streams(csv_path)
+
+
+def test_read_out_of_range_time_names_file_and_channel(tmp_path):
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_text("channel,time_ps\nA,100\nB,50\nB,1000000\n")
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1e-6, "seed": 0, "config_digest": "", "labels": ["A", "B"]}'
+    )
+    with pytest.raises(ValueError, match=r"tags\.csv: stream 'B': timestamps outside"):
         read_streams(csv_path)
 
 
