@@ -386,12 +386,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", type=Path, default=None, help="JSON scenario overrides")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--duration", type=float, default=None,
-                       help="override per-run accumulation [s]")
 
     p = sub.add_parser("plan", help="channel plan wavelengths (grid table)")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--pump", type=int, default=None)
     p.add_argument("--offsets", type=str, default=None, help="comma-separated, e.g. 10,12,14")
     p.set_defaults(func=_cmd_plan)
@@ -416,30 +414,34 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("car", help="analytic CAR curve plus Monte Carlo checks")
     common(p)
+    p.add_argument("--duration", type=float, default=20.0, help="per-run accumulation [s]")
     p.add_argument("--min-uw", type=float, default=10.0)
     p.add_argument("--max-uw", type=float, default=2000.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--mc-powers", type=str, default="50,100,200,400,800")
-    p.set_defaults(func=_cmd_car, _default_duration=20.0)
+    p.set_defaults(func=_cmd_car)
 
     p = sub.add_parser("fringe", help="two-photon fringe scan for one channel")
     common(p)
+    p.add_argument("--duration", type=float, default=300.0, help="per-run accumulation [s]")
     p.add_argument("--channel", type=str, default=None)
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--before", action="store_true",
                    help="measure the source directly, without conversion")
-    p.set_defaults(func=_cmd_fringe, _default_duration=300.0)
+    p.set_defaults(func=_cmd_fringe)
 
     p = sub.add_parser("demux", help="three-channel end-to-end report")
     common(p)
+    p.add_argument("--duration", type=float, default=60.0, help="per-run accumulation [s]")
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--duration-before", type=float, default=30.0)
     p.add_argument("--duration-after", type=float, default=300.0)
     p.add_argument("--emit-tags", action="store_true")
-    p.set_defaults(func=_cmd_demux, _default_duration=60.0)
+    p.set_defaults(func=_cmd_demux)
 
     p = sub.add_parser("loss", help="loss ledger report")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("analyze", help="histogram and CAR from a timestamp file")
@@ -463,12 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg_dict = load_config_dict(args.config)
         if args.seed is not None:
             cfg_dict["run"]["seed"] = args.seed
-        default_duration = getattr(args, "_default_duration", None)
-        if args.duration is not None:
+        if "duration" in args:
             cfg_dict["run"]["duration_s"] = args.duration
-        elif default_duration is not None:
-            cfg_dict["run"]["duration_s"] = default_duration
-        args.duration = cfg_dict["run"]["duration_s"]
         digest = config_digest(cfg_dict)
         config = build_config(cfg_dict)
     except ConfigError as exc:

@@ -171,202 +171,154 @@ def _merge_strict(base: dict, override: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict) and key not in ("enhancement",):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here}: expected an object")
-            out[key] = _merge_strict(base[key], value, here)
-        else:
-            out[key] = value
+        # sections merge key by key; other values, free maps too, are replaced
+        nested = isinstance(base[key], dict) and base[key] and isinstance(value, dict)
+        out[key] = _merge_strict(base[key], value, here) if nested else value
     return out
 
 
-def _require_number(raw: dict, path: str, key: str, minimum: float | None = None,
-                    strict_min: bool = False) -> float:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    if minimum is not None:
-        if strict_min and value <= minimum:
-            raise ConfigError(f"{path}.{key}: must be > {minimum}, got {value}")
-        if not strict_min and value < minimum:
-            raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
-    return float(value)
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", list: "a list", dict: "an object"}
 
 
-def _ledger(entries_raw: list, role: str, path: str) -> LossLedger:
-    entries = []
-    for i, entry in enumerate(entries_raw):
-        here = f"{path}[{i}]"
-        extra = set(entry) - {"name", "loss_db", "group"}
-        if extra:
-            raise ConfigError(f"{here}: unknown keys {sorted(extra)}")
-        loss = _require_number(entry, here, "loss_db", minimum=0.0)
-        group = entry.get("group")
-        if group not in LOSS_GROUPS:
-            raise ConfigError(f"{here}.group: expected one of {list(LOSS_GROUPS)}, got {group!r}")
-        entries.append(LossEntry(entry["name"], loss, group))
-    return LossLedger(tuple(entries), role=role)
+def _expected(base) -> str:
+    return '"auto" or a number' if base == "auto" else _KINDS[type(base)]
 
 
-def _detector(raw: dict, path: str) -> DetectorSpec:
-    eff = _require_number(raw, path, "efficiency", minimum=0.0, strict_min=True)
-    dark = _require_number(raw, path, "dark_rate_hz", minimum=0.0)
-    dead = _require_number(raw, path, "dead_time_us", minimum=0.0)
-    jitter = _require_number(raw, path, "timing_jitter_sigma_ps", minimum=0.0)
+def _typed(value, base, path: str):
+    """A copy of ``value``, checked to have the JSON type of its baseline ``base``.
+
+    An integer stands for a float (and becomes one in the copy), a number
+    for ``"auto"``; lists are checked by element against their first
+    baseline element, and an empty baseline object is a map of numbers.
+    """
+    kind = type(base)
+    if base == "auto":
+        if value == "auto":
+            return value
+        kind = float
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        # the float the integer stands for, so 40 builds what 40.0 builds
+        value = float(value)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{path}: expected {_expected(base)}, got {value!r}")
+    if kind is list:
+        return [_typed(v, base[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if kind is not dict:
+        return value
+    join = (lambda key: f"{path}.{key}") if path else str
+    if not base:
+        return {key: _typed(v, 0.0, join(key)) for key, v in value.items()}
+    for key in value:
+        if key not in base:
+            raise ConfigError(f"unknown config key {join(key)!r}")
+    for key, b in base.items():
+        if key not in value:
+            raise ConfigError(f"{join(key)}: expected {_expected(b)}, got nothing")
+    return {key: _typed(value[key], b, join(key)) for key, b in base.items()}
+
+
+def _build(cls, fields: dict, path: str):
+    """``cls(**fields)``; each dataclass message starts with its attribute,
+    so a ``ValueError`` becomes a ``ConfigError`` naming ``path.attribute``."""
     try:
-        return DetectorSpec(eff, dark, dead, jitter)
+        return cls(**fields)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def build_config(raw: dict) -> ScenarioConfig:
-    """Turn a full (merged) config dict into a validated ScenarioConfig."""
-    plan_raw = raw["plan"]
+    """Turn a full (merged) config dict into a validated ScenarioConfig.
+
+    Keys and JSON types are checked against ``baseline_dict()``; bounds
+    are checked by the dataclasses each section builds.  ``raw`` itself
+    is not changed, so its ``config_digest`` stays that of the input.
+    """
+    t = _typed(raw, baseline_dict(), "")
     try:
-        plan = tuple(build_plan(plan_raw["pump_index"], list(plan_raw["offsets"])))
+        plan = tuple(build_plan(t["plan"]["pump_index"], t["plan"]["offsets"]))
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from None
+    ring = _build(RingSpectrumModel, t["ring"], "ring")
+    sp = t["sfg_pump"]
+    sfg_pump = _build(PumpLaser, {**sp, "window_nm": tuple(sp["window_nm"])}, "sfg_pump")
 
-    r = raw["ring"]
+    crystal_raw = t["crystal"]
+    design_signal_nm = crystal_raw.pop("design_signal_nm")
     try:
-        ring = RingSpectrumModel(
-            fsr_ghz=_require_number(r, "ring", "fsr_ghz"),
-            fwhm_mhz=_require_number(r, "ring", "fwhm_mhz"),
-            q_factor=_require_number(r, "ring", "q_factor"),
-            extinction_depth=_require_number(r, "ring", "extinction_depth"),
-            reference_resonance_thz=_require_number(r, "ring", "reference_resonance_thz"),
-            thermo_optic_ghz_per_k=_require_number(r, "ring", "thermo_optic_ghz_per_k"),
-            temperature_offset_k=_require_number(r, "ring", "temperature_offset_k"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"ring: {exc}") from None
-
-    c = raw["crystal"]
-    try:
-        sellmeier = sfg.resolve_sellmeier(c["sellmeier"])
+        crystal_raw["sellmeier"] = sfg.resolve_sellmeier(crystal_raw["sellmeier"])
     except ValueError as exc:
         raise ConfigError(f"crystal.sellmeier: {exc}") from None
-    design_signal_nm = _require_number(c, "crystal", "design_signal_nm")
-    pump_design_nm = _require_number(raw["sfg_pump"], "sfg_pump", "wavelength_nm")
-    auto_temperature = c["temperature_c"] == "auto"
-    crystal = CrystalSpec(
-        length_mm=_require_number(c, "crystal", "length_mm", 0.0, True),
-        poling_period_um=_require_number(c, "crystal", "poling_period_um", 0.0, True),
-        # the auto solve scans its own temperatures; 25 degC is a placeholder
-        temperature_c=25.0 if auto_temperature else _require_number(c, "crystal", "temperature_c"),
-        sellmeier=sellmeier,
-        thermal_expansion_per_k=_require_number(c, "crystal", "thermal_expansion_per_k"),
-    )
+    auto_temperature = crystal_raw["temperature_c"] == "auto"
+    if auto_temperature:  # a placeholder: the solve below scans its own temperatures
+        crystal_raw["temperature_c"] = 25.0
+    crystal = _build(CrystalSpec, crystal_raw, "crystal")
     if auto_temperature:
-        crystal = replace(crystal, temperature_c=sfg.solve_qpm_temperature(
-            crystal, pump_design_nm, design_signal_nm))
-
-    conv = raw["conversion"]
-    eta_device = _require_number(conv, "conversion", "eta_device", 0.0, True)
-    if conv["p_pi_mw"] == "auto":
-        curve = ConversionCurve.from_calibration(
-            power_mw=_require_number(conv, "conversion", "calibration_power_mw", 0.0, True),
-            eta_quantum=_require_number(conv, "conversion", "calibration_eta", 0.0, True),
-            eta_device=eta_device,
-        )
-    else:
-        curve = ConversionCurve(
-            eta_device=eta_device,
-            p_pi_mw=_require_number(conv, "conversion", "p_pi_mw", 0.0, True),
-        )
-
-    sp = raw["sfg_pump"]
-    try:
-        sfg_pump = PumpLaser(
-            wavelength_nm=pump_design_nm,
-            power_mw=_require_number(sp, "sfg_pump", "power_mw", minimum=0.0),
-            window_nm=(float(sp["window_nm"][0]), float(sp["window_nm"][1])),
-        )
-    except (ValueError, TypeError, IndexError) as exc:
-        raise ConfigError(f"sfg_pump: {exc}") from None
-
-    umis = {}
-    for side in ("idler", "signal"):
-        u = raw["umis"][side]
-        path = f"umis.{side}"
         try:
-            umis[side] = UmiSpec(
-                delay_ns=_require_number(u, path, "delay_ns", 0.0, True),
-                operating_wavelength_nm=_require_number(
-                    u, path, "operating_wavelength_nm", 0.0, True),
-                dn_dt_per_k=_require_number(u, path, "dn_dt_per_k", 0.0, True),
-                refractive_index=_require_number(u, path, "refractive_index", 0.0, True),
-                tunable_length_mm=_require_number(u, path, "tunable_length_mm", 0.0, True),
-                reference_temperature_k=_require_number(u, path, "reference_temperature_k"),
-                label=u["label"],
-            )
+            crystal = replace(crystal, temperature_c=sfg.solve_qpm_temperature(
+                crystal, sfg_pump.wavelength_nm, design_signal_nm))
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise ConfigError(f"crystal.temperature_c: {exc}") from None
 
-    f = raw["fringe"]
+    conv = t["conversion"]
     try:
-        fringe = FringeModel(
-            visibility=_require_number(f, "fringe", "visibility"),
-            phase_offset_rad=_require_number(f, "fringe", "phase_offset_rad"),
-            signal_phase_rad=_require_number(f, "fringe", "signal_phase_rad"),
-            idler_phase_rad=_require_number(f, "fringe", "idler_phase_rad"),
-            phase_jitter_rad=_require_number(f, "fringe", "phase_jitter_rad"),
-        )
+        if conv["p_pi_mw"] == "auto":
+            curve = ConversionCurve.from_calibration(
+                conv["calibration_power_mw"], conv["calibration_eta"], conv["eta_device"])
+        else:
+            curve = ConversionCurve(conv["eta_device"], conv["p_pi_mw"])
     except ValueError as exc:
-        raise ConfigError(f"fringe: {exc}") from None
+        raise ConfigError(f"conversion: {exc}") from None
 
-    signal_ledger = _ledger(raw["ledgers"]["signal"], "signal-arm", "ledgers.signal")
-    idler_ledger = _ledger(raw["ledgers"]["idler"], "idler-arm", "ledgers.idler")
-    apd1 = _detector(raw["detectors"]["apd1"], "detectors.apd1")
-    apd2 = _detector(raw["detectors"]["apd2"], "detectors.apd2")
+    umis = {side: _build(UmiSpec, t["umis"][side], f"umis.{side}")
+            for side in ("idler", "signal")}
+    fringe = _build(FringeModel, t["fringe"], "fringe")
+    ledgers = {}
+    for arm in ("signal", "idler"):
+        entries = []
+        for i, entry in enumerate(t["ledgers"][arm]):
+            here = f"ledgers.{arm}[{i}]"
+            if entry["group"] not in LOSS_GROUPS:
+                raise ConfigError(f"{here}.group: expected one of {list(LOSS_GROUPS)}, "
+                                  f"got {entry['group']!r}")
+            entries.append(_build(LossEntry, entry, here))
+        ledgers[arm] = LossLedger(tuple(entries), role=f"{arm}-arm")
+    apd1, apd2 = (_build(DetectorSpec, t["detectors"][name], f"detectors.{name}")
+                  for name in ("apd1", "apd2"))
+    coincidence = _build(CoincidenceConfig, t["coincidence"], "coincidence")
 
-    co = raw["coincidence"]
-    try:
-        coincidence = CoincidenceConfig(
-            window_ns=_require_number(co, "coincidence", "window_ns"),
-            histogram_bin_ps=int(co["histogram_bin_ps"]),
-            histogram_span_ns=_require_number(co, "coincidence", "histogram_span_ns"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"coincidence: {exc}") from None
-
-    run = raw["run"]
-    sf = raw["sfwm"]
-    chip_power_uw = _require_number(run, "run", "chip_power_uw", minimum=0.0)
-    duration_s = _require_number(run, "run", "duration_s", 0.0, True)
-    seed = run["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"run.seed: expected an integer, got {seed!r}")
-
-    raman_fraction = _require_number(sf, "sfwm", "raman_fraction", minimum=0.0)
+    run = t["run"]
+    active_label = run.pop("active_channel")  # the other run keys are ScenarioConfig fields
+    sf = t["sfwm"]
+    if sf["raman_fraction"] < 0:
+        raise ConfigError(f"sfwm.raman_fraction: must be >= 0, got {sf['raman_fraction']}")
+    labels = [pair.label for pair in plan]
+    for label in sf["enhancement"]:
+        if label not in labels:
+            raise ConfigError(f"sfwm.enhancement.{label}: expected a pair label of {labels}")
     if sf["pair_coefficient"] == "auto":
+        target_hz = sf["detected_singles_target_hz"]
+        if target_hz <= 0:
+            raise ConfigError(f"sfwm.detected_singles_target_hz: must be > 0, got {target_hz}")
         pair_coefficient = calibrate_pair_coefficient(
-            target_singles_hz=_require_number(
-                sf, "sfwm", "detected_singles_target_hz", 0.0, True),
-            chip_power_uw=chip_power_uw,
-            raman_fraction=raman_fraction,
-            signal_ledger=signal_ledger,
+            target_singles_hz=target_hz,
+            chip_power_uw=run["chip_power_uw"],
+            raman_fraction=sf["raman_fraction"],
+            signal_ledger=ledgers["signal"],
             curve=curve,
             sfg_power_mw=sfg_pump.power_mw,
             detector=apd2,
         )
     else:
-        pair_coefficient = _require_number(sf, "sfwm", "pair_coefficient", minimum=0.0)
-    raman = raman_fraction * pair_coefficient * chip_power_uw
-    try:
-        rates = SfwmRates(
-            pair_coefficient=pair_coefficient,
-            raman_signal=raman,
-            raman_idler=raman,
-            enhancement=dict(sf["enhancement"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sfwm: {exc}") from None
+        pair_coefficient = sf["pair_coefficient"]
+    raman = sf["raman_fraction"] * pair_coefficient * run["chip_power_uw"]
+    rates = _build(SfwmRates, {"pair_coefficient": pair_coefficient, "raman_signal": raman,
+                               "raman_idler": raman, "enhancement": sf["enhancement"]}, "sfwm")
 
     try:
         return ScenarioConfig(
             plan=plan,
-            active_label=run["active_channel"],
+            active_label=active_label,
             ring=ring,
             rates=rates,
             crystal=crystal,
@@ -375,17 +327,12 @@ def build_config(raw: dict) -> ScenarioConfig:
             signal_umi=umis["signal"],
             idler_umi=umis["idler"],
             fringe=fringe,
-            signal_ledger=signal_ledger,
-            idler_ledger=idler_ledger,
+            signal_ledger=ledgers["signal"],
+            idler_ledger=ledgers["idler"],
             apd1=apd1,
             apd2=apd2,
             coincidence=coincidence,
-            chip_power_uw=chip_power_uw,
-            duration_s=duration_s,
-            seed=seed,
-            include_umis=bool(run["include_umis"]),
-            simulate_all_channels=bool(run["simulate_all_channels"]),
-            convert_signal=bool(run["convert_signal"]),
+            **run,
         )
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from None
@@ -405,7 +352,8 @@ def calibrate_pair_coefficient(target_singles_hz: float, chip_power_uw: float,
     passive = signal_ledger.linear(groups=signal_passive_groups(convert_signal=True))
     eta = passive * sfg.quantum_efficiency(curve, sfg_power_mw) * detector.efficiency
     if eta <= 0 or chip_power_uw <= 0:
-        raise ConfigError("sfwm.pair_coefficient: cannot calibrate with zero efficiency or power")
+        raise ConfigError(f"sfwm.pair_coefficient: cannot calibrate at signal-arm efficiency "
+                          f"{eta} and run.chip_power_uw {chip_power_uw}")
     return target_singles_hz / (eta * chip_power_uw**2 * (1.0 + raman_fraction))
 
 

@@ -50,7 +50,8 @@ class LossEntry:
 
     def __post_init__(self) -> None:
         if self.loss_db < 0:
-            raise ValueError(f"loss entry {self.name!r} must be nonnegative, got {self.loss_db} dB")
+            raise ValueError(
+                f"loss_db: loss entry {self.name!r} must be nonnegative, got {self.loss_db} dB")
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,14 @@ class DetectorSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
+            raise ValueError(f"efficiency: must be in (0, 1], got {self.efficiency}")
         if self.dark_rate_hz < 0:
-            raise ValueError(f"dark rate must be >= 0, got {self.dark_rate_hz}")
+            raise ValueError(f"dark_rate_hz: must be >= 0, got {self.dark_rate_hz}")
         if self.dead_time_us < 0:
-            raise ValueError(f"dead time must be >= 0, got {self.dead_time_us} us")
+            raise ValueError(f"dead_time_us: dead time must be >= 0, got {self.dead_time_us} us")
         if self.timing_jitter_sigma_ps < 0:
-            raise ValueError("timing jitter must be >= 0")
+            raise ValueError(
+                f"timing_jitter_sigma_ps: must be >= 0, got {self.timing_jitter_sigma_ps}")
 
 
 def accidental_rate(singles_a_hz: float, singles_b_hz: float, window_ns: float) -> float:

@@ -25,16 +25,17 @@ class CoincidenceConfig:
 
     def __post_init__(self) -> None:
         if self.window_ns <= 0:
-            raise ValueError(f"window must be positive, got {self.window_ns} ns")
+            raise ValueError(f"window_ns: window must be positive, got {self.window_ns} ns")
         if self.histogram_bin_ps <= 0:
-            raise ValueError(f"bin must be positive, got {self.histogram_bin_ps} ps")
+            raise ValueError(f"histogram_bin_ps: must be positive, got {self.histogram_bin_ps} ps")
         if self.histogram_bin_ps > self.window_ns * 1000.0:
             raise ValueError(
-                f"bin ({self.histogram_bin_ps} ps) must not exceed the window "
+                f"histogram_bin_ps: bin ({self.histogram_bin_ps} ps) must not exceed the window "
                 f"({self.window_ns} ns)"
             )
         if self.histogram_span_ns <= 0:
-            raise ValueError(f"span must be positive, got {self.histogram_span_ns} ns")
+            raise ValueError(
+                f"histogram_span_ns: must be positive, got {self.histogram_span_ns} ns")
 
 
 @dataclass(frozen=True)

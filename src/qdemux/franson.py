@@ -45,13 +45,18 @@ class UmiSpec:
 
     def __post_init__(self) -> None:
         if self.delay_ns <= 0:
-            raise ValueError(f"delay must be positive, got {self.delay_ns} ns")
+            raise ValueError(f"delay_ns: delay must be positive, got {self.delay_ns} ns")
         if self.tunable_length_mm <= 0:
             raise ValueError(
-                f"tunable_length must be positive, got {self.tunable_length_mm} mm"
+                f"tunable_length_mm: must be positive, got {self.tunable_length_mm} mm"
             )
         if self.operating_wavelength_nm <= 0:
-            raise ValueError("operating wavelength must be positive")
+            raise ValueError(
+                f"operating_wavelength_nm: must be positive, got {self.operating_wavelength_nm} nm")
+        if self.dn_dt_per_k <= 0:
+            raise ValueError(f"dn_dt_per_k: dn/dT must be positive, got {self.dn_dt_per_k}")
+        if self.refractive_index <= 0:
+            raise ValueError(f"refractive_index: must be positive, got {self.refractive_index}")
 
     @property
     def delay_ps(self) -> int:
@@ -70,8 +75,6 @@ def temperature_tuning_period_k(umi: UmiSpec) -> float:
 
     dT = lambda / (2 * L_tunable * dn/dT)
     """
-    if umi.dn_dt_per_k <= 0:
-        raise ValueError(f"dn/dT must be positive, got {umi.dn_dt_per_k}")
     lam_m = umi.operating_wavelength_nm * 1e-9
     length_m = umi.tunable_length_mm * 1e-3
     return lam_m / (2.0 * length_m * umi.dn_dt_per_k)
@@ -120,9 +123,9 @@ class FringeModel:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
+            raise ValueError(f"visibility: must be in [0, 1], got {self.visibility}")
         if self.phase_jitter_rad < 0:
-            raise ValueError("phase jitter must be >= 0")
+            raise ValueError(f"phase_jitter_rad: must be >= 0, got {self.phase_jitter_rad}")
 
     @property
     def total_phase_rad(self) -> float:

@@ -155,8 +155,8 @@ def operating_point(config: ScenarioConfig) -> OperatingPoint:
         eta_q = sfg.quantum_efficiency(config.curve, config.sfg_pump.power_mw)
         # one call per channel: np.sinc over a longer array can differ in the last bit
         acceptance = {
-            pair.label: float(sfg.acceptance(
-                config.crystal, pump_nm,
+            pair.label: float(sfg._acceptance(
+                config.crystal, pump_nm, matched_thz,
                 (pair.signal.center_frequency_thz - matched_thz) * 1e3,
             ))
             for pair in pairs

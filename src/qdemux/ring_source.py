@@ -48,17 +48,17 @@ class RingSpectrumModel:
 
     def __post_init__(self) -> None:
         if self.fwhm_mhz <= 0:
-            raise ValueError(f"fwhm must be positive, got {self.fwhm_mhz} MHz")
+            raise ValueError(f"fwhm_mhz: must be positive, got {self.fwhm_mhz} MHz")
         if self.fsr_ghz <= 0:
-            raise ValueError(f"fsr must be positive, got {self.fsr_ghz} GHz")
+            raise ValueError(f"fsr_ghz: must be positive, got {self.fsr_ghz} GHz")
         if self.fsr_ghz * 1e3 <= 10 * self.fwhm_mhz:
             raise ValueError(
-                f"fsr ({self.fsr_ghz} GHz) must be much larger than the "
+                f"fsr_ghz: {self.fsr_ghz} GHz must be much larger than the "
                 f"linewidth ({self.fwhm_mhz} MHz)"
             )
         if not 0.0 < self.extinction_depth <= 1.0:
             raise ValueError(
-                f"extinction_depth must be in (0, 1], got {self.extinction_depth}"
+                f"extinction_depth: must be in (0, 1], got {self.extinction_depth}"
             )
 
     def resonance_frequency_thz(self, mode: int) -> float:
@@ -131,9 +131,13 @@ class SfwmRates:
 
     def __post_init__(self) -> None:
         if self.pair_coefficient < 0:
-            raise ValueError(f"pair_coefficient must be >= 0, got {self.pair_coefficient}")
+            raise ValueError(f"pair_coefficient: must be >= 0, got {self.pair_coefficient}")
         if self.raman_signal < 0 or self.raman_idler < 0:
-            raise ValueError("raman coefficients must be >= 0")
+            raise ValueError(f"raman_signal, raman_idler: must be >= 0, got {self.raman_signal}, "
+                             f"{self.raman_idler}")
+        for label, multiplier in self.enhancement.items():
+            if multiplier < 0:
+                raise ValueError(f"enhancement.{label}: must be >= 0, got {multiplier}")
 
     def channel_enhancement(self, label: str) -> float:
         return float(self.enhancement.get(label, 1.0))

@@ -112,10 +112,10 @@ class CrystalSpec:
 
     def __post_init__(self) -> None:
         if self.length_mm <= 0:
-            raise ValueError(f"crystal length must be positive, got {self.length_mm} mm")
+            raise ValueError(f"length_mm: must be positive, got {self.length_mm} mm")
         if self.poling_period_um <= 0:
             raise ValueError(
-                f"poling period must be positive, got {self.poling_period_um} um"
+                f"poling_period_um: must be positive, got {self.poling_period_um} um"
             )
 
     def poling_period_m(self, temperature_c: float | None = None) -> float:
@@ -138,13 +138,13 @@ class PumpLaser:
 
     def __post_init__(self) -> None:
         if self.power_mw < 0:
-            raise ValueError(f"pump power must be >= 0, got {self.power_mw} mW")
+            raise ValueError(f"power_mw: pump power must be >= 0, got {self.power_mw} mW")
+        if len(self.window_nm) != 2 or not self.window_nm[0] < self.window_nm[1]:
+            raise ValueError(f"window_nm: expected (lo, hi) with lo < hi, got {self.window_nm}")
         lo, hi = self.window_nm
-        if not lo < hi:
-            raise ValueError(f"invalid tuning window {self.window_nm}")
         if not lo <= self.wavelength_nm <= hi:
             raise ValueError(
-                f"pump wavelength {self.wavelength_nm} nm outside tuning window "
+                f"wavelength_nm: {self.wavelength_nm} nm outside tuning window "
                 f"[{lo}, {hi}] nm"
             )
 
@@ -219,13 +219,18 @@ def acceptance(crystal: CrystalSpec, pump_nm: float, signal_detuning_ghz) -> flo
     phase-matches; equals 1 at zero detuning.  The narrow acceptance is
     what suppresses neighbouring multiplexed channels.
     """
+    matched_thz = wavelength_to_frequency(matched_signal_nm(crystal, pump_nm))
+    return _acceptance(crystal, pump_nm, matched_thz, signal_detuning_ghz)
+
+
+def _acceptance(crystal: CrystalSpec, pump_nm: float, matched_thz: float,
+                signal_detuning_ghz) -> float | np.ndarray:
+    """:func:`acceptance` about an already solved matched-signal frequency [THz]."""
     det = np.asarray(signal_detuning_ghz, dtype=float)
     if np.any(np.abs(det) > 2000.0):
         raise ValueError("signal detuning outside +-2 THz")
-    sig0_nm = matched_signal_nm(crystal, pump_nm)
-    f0_thz = wavelength_to_frequency(sig0_nm)
     sig_nm = np.asarray(
-        [frequency_to_wavelength(f0_thz + d * 1e-3) for d in np.atleast_1d(det)]
+        [frequency_to_wavelength(matched_thz + d * 1e-3) for d in np.atleast_1d(det)]
     )
     length_m = crystal.length_mm * 1e-3
     dk = phase_mismatch(crystal, pump_nm, sig_nm)
@@ -287,17 +292,19 @@ class ConversionCurve:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_device <= 1.0:
-            raise ValueError(f"eta_device must be in (0, 1], got {self.eta_device}")
+            raise ValueError(f"eta_device: must be in (0, 1], got {self.eta_device}")
         if self.p_pi_mw <= 0:
-            raise ValueError(f"p_pi must be positive, got {self.p_pi_mw} mW")
+            raise ValueError(f"p_pi_mw: must be positive, got {self.p_pi_mw} mW")
 
     @classmethod
     def from_calibration(cls, power_mw: float, eta_quantum: float,
                          eta_device: float = 1.0) -> "ConversionCurve":
         """Build the curve through one measured (power, efficiency) point."""
+        if power_mw <= 0:
+            raise ValueError(f"calibration power must be positive, got {power_mw} mW")
         if not 0.0 < eta_quantum < eta_device:
             raise ValueError(
-                f"calibration efficiency must be in (0, eta_device), got {eta_quantum}"
+                f"calibration efficiency must be in (0, eta_device={eta_device}), got {eta_quantum}"
             )
         ratio = (2.0 / np.pi) * np.arcsin(np.sqrt(eta_quantum / eta_device))
         return cls(eta_device=eta_device, p_pi_mw=power_mw / ratio**2)

@@ -57,6 +57,54 @@ def test_unknown_or_missing_loss_group_names_field(entry):
         build_config(raw)
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"ledgers": {"signal": [{"loss_db": 1.0, "group": "chip"}]}},
+     r"ledgers\.signal\[0\]\.name: expected a string, got nothing"),
+    ({"ledgers": {"signal": [{"name": "chip", "group": "chip"}]}},
+     r"ledgers\.signal\[0\]\.loss_db: expected a number, got nothing"),
+    ({"ledgers": {"signal": ["oops"]}},
+     r"ledgers\.signal\[0\]: expected an object, got 'oops'"),
+    ({"coincidence": {"histogram_bin_ps": 100.7}},
+     r"coincidence\.histogram_bin_ps: expected an integer, got 100\.7"),
+    ({"coincidence": {"histogram_bin_ps": True}},
+     r"coincidence\.histogram_bin_ps: expected an integer, got True"),
+    ({"run": {"include_umis": "no"}},
+     r"run\.include_umis: expected true or false, got 'no'"),
+    ({"plan": {"offsets": "10"}},
+     r"plan\.offsets: expected a list, got '10'"),
+    ({"sfwm": {"enhancement": {"S2-I2": "big"}}},
+     r"sfwm\.enhancement\.S2-I2: expected a number, got 'big'"),
+    ({"sfwm": {"enhancement": {"S2": 5.0}}},
+     r"sfwm\.enhancement\.S2: expected a pair label of \['S1-I1', 'S2-I2', 'S3-I3'\]"),
+    ({"sfwm": {"enhancement": {"S2-I2": -3}}},
+     r"sfwm\.enhancement\.S2-I2: must be >= 0, got -3\.0"),
+])
+def test_malformed_override_names_path_and_expectation(tmp_path, override, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(override))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_build_config_leaves_input_digest_unchanged():
+    raw = load_config_dict(None)
+    raw["crystal"]["temperature_c"] = 40
+    raw["sfwm"]["enhancement"] = {"S1-I1": 2}
+    before = config_digest(raw)
+    build_config(raw)
+    assert config_digest(raw) == before
+    assert raw["crystal"]["temperature_c"] == 40 and type(raw["crystal"]["temperature_c"]) is int
+
+
+def test_integer_for_float_builds_the_float_config():
+    as_int, as_float = baseline_dict(), baseline_dict()
+    as_int["crystal"]["temperature_c"] = 40
+    as_float["crystal"]["temperature_c"] = 40.0
+    cfg = build_config(as_int)
+    assert cfg == build_config(as_float)
+    assert type(cfg.crystal.temperature_c) is float
+
+
 def test_bad_active_channel_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"run": {"active_channel": "S9"}}')
@@ -158,6 +206,14 @@ def test_unknown_subcommand_exits_1(capsys):
 
 def test_unknown_flag_exits_1(capsys):
     assert cli.main(["plan", "--nonsense"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--duration", "5"],
+    ["ring", "--format", "json"],
+])
+def test_flag_the_subcommand_ignores_exits_1(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
 
 
 def test_config_error_exits_1(tmp_path, capsys):
