@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ring_source
-from .events import EventStream
+from .events import EventStream, assemble_timestamps
 from .ring_source import SfwmRates
 
 
@@ -182,8 +182,7 @@ def apply_detector(stream: EventStream, spec: DetectorSpec,
         n_dark = rng.poisson(spec.dark_rate_hz * stream.duration_s)
         dark = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
         t = np.concatenate([t, dark])
-    t = np.unique(t)
-    t = t[(t >= 0) & (t < duration_ps)]
+    t = assemble_timestamps(t, duration_ps)
     if spec.dead_time_us > 0 and t.size:
         t = _prune_dead_time(t, int(round(spec.dead_time_us * 1e6)))
     return EventStream(stream.label, t, stream.duration_s, stream.seed)

@@ -76,7 +76,6 @@ class ScenarioConfig:
     include_umis: bool = True
     simulate_all_channels: bool = True
     convert_signal: bool = True
-    direct_signal_detector: DetectorSpec | None = None
 
     def __post_init__(self) -> None:
         labels = {p.signal_label for p in self.plan}
@@ -116,9 +115,7 @@ class ScenarioConfig:
         return self.idler_ledger.excluding(("detector",))
 
     def signal_detector(self) -> DetectorSpec:
-        if self.convert_signal:
-            return self.apd2
-        return self.direct_signal_detector or self.apd1
+        return self.apd2 if self.convert_signal else self.apd1
 
 
 @dataclass(frozen=True)
@@ -177,17 +174,18 @@ def operating_point(config: ScenarioConfig) -> OperatingPoint:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Streams and bookkeeping from one Monte Carlo run."""
+    """Detected streams of one Monte Carlo run, the operating point it used,
+    and the Poisson draw of generated pairs for each simulated pair label."""
 
     signal_stream: EventStream
     idler_streams: dict[str, EventStream]
-    pump_nm: float | None
-    diagnostics: dict
+    active_idler_label: str
+    op: OperatingPoint
+    generated_pairs: dict[str, int]
 
     @property
     def active_idler_stream(self) -> EventStream:
-        label = self.diagnostics["active_idler_label"]
-        return self.idler_streams[label]
+        return self.idler_streams[self.active_idler_label]
 
 
 def _truncated_laplace(rng: np.random.Generator, scale: float, n: int,
@@ -228,15 +226,19 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
     delay_ps = config.signal_umi.delay_ps
     tau_ps = ring_source.pair_correlation_time_ps(config.ring)
 
+    def detect(label: str, parts: list[np.ndarray], detector: DetectorSpec) -> EventStream:
+        raw = EventStream.from_unsorted(
+            label, np.rint(np.concatenate(parts)).astype(np.int64), config.duration_s, master)
+        return apply_detector(raw, detector, sub_rng(master, "detector", label))
+
     pairs = config.plan if config.simulate_all_channels else (active,)
     sig_parts: list[np.ndarray] = []
     idler_streams: dict[str, EventStream] = {}
-    per_channel: dict[str, dict] = {}
+    generated_pairs: dict[str, int] = {}
 
     for pair in pairs:
         label = pair.label
-        acc = op.acceptance[label]
-        p_sig = op.signal_survival * op.eta_quantum * acc
+        p_sig = op.signal_survival * op.eta_quantum * op.acceptance[label]
         p_idl = op.idler_survival
         rate = ring_source.pair_rate(config.rates, config.chip_power_uw, label)
 
@@ -244,7 +246,7 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
         rng_jit = sub_rng(master, "pair-jitter", label)
         rng_umi = sub_rng(master, "umi", label)
 
-        n_total = int(rng_pairs.poisson(rate * config.duration_s))
+        n_total = generated_pairs[label] = int(rng_pairs.poisson(rate * config.duration_s))
         p_both = p_sig * p_idl
         p_sonly = p_sig * (1.0 - p_idl)
         p_ionly = (1.0 - p_sig) * p_idl
@@ -285,42 +287,10 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
         # a channel not routed to the signal detector has p_sig = 0: no signal photons
         sig_parts.extend(sig_ch)
 
-        raw_idler = EventStream.from_unsorted(
-            pair.idler_label,
-            np.rint(np.concatenate(idl_ch)).astype(np.int64),
-            config.duration_s,
-            master,
-        )
-        idler_streams[pair.idler_label] = apply_detector(
-            raw_idler, config.apd1, sub_rng(master, "detector", pair.idler_label)
-        )
-        per_channel[label] = {
-            "pair_rate_hz": rate,
-            "acceptance": acc,
-            "signal_survival": p_sig,
-            "idler_survival": p_idl,
-            "generated_pairs": n_total,
-        }
+        idler_streams[pair.idler_label] = detect(pair.idler_label, idl_ch, config.apd1)
 
-    raw_signal = EventStream.from_unsorted(
-        config.signal_stream_label,
-        np.rint(np.concatenate(sig_parts)).astype(np.int64),
-        config.duration_s,
-        master,
-    )
-    signal_stream = apply_detector(
-        raw_signal, config.signal_detector(),
-        sub_rng(master, "detector", config.signal_stream_label),
-    )
-
-    diagnostics = {
-        "pump_nm": op.pump_nm,
-        "eta_quantum": op.eta_quantum,
-        "active_idler_label": active.idler_label,
-        "per_channel": per_channel,
-        "pair_correlation_time_ps": tau_ps,
-    }
-    return RunResult(signal_stream, idler_streams, op.pump_nm, diagnostics)
+    signal_stream = detect(config.signal_stream_label, sig_parts, config.signal_detector())
+    return RunResult(signal_stream, idler_streams, active.idler_label, op, generated_pairs)
 
 
 def detection_arms(config: ScenarioConfig,
@@ -418,7 +388,7 @@ def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> 
             convert_signal=True,
         )
         run = runs[pair.signal_label] = generate_run(cfg)
-        pumps[pair.signal_label] = float(run.pump_nm)
+        pumps[pair.signal_label] = float(run.op.pump_nm)
         row: dict[str, CrosstalkCell] = {}
         for other in config.plan:
             hist = histogram(
@@ -432,4 +402,4 @@ def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> 
             sigma = float(np.sqrt(max(win.center, 1) + win.background_sigma_per_window**2))
             row[other.idler_label] = CrosstalkCell(win.center, bg, sigma)
         matrix[pair.signal_label] = row
-    return {"matrix": matrix, "pump_nm": pumps, "duration_s": duration, "runs": runs}
+    return {"matrix": matrix, "pump_nm": pumps, "runs": runs}

@@ -9,7 +9,7 @@ from qdemux.detection import DetectorSpec, LossLedger
 from qdemux.events import CoincidenceConfig, central_window_counts, histogram
 from qdemux.franson import FringeModel, UmiSpec
 from qdemux.montecarlo import ScenarioConfig, fringe_scan, generate_run, sub_seed
-from qdemux.ring_source import RingSpectrumModel, SfwmRates
+from qdemux.ring_source import RingSpectrumModel, SfwmRates, pair_rate
 from qdemux.sfg import SELLMEIER_SETS, ConversionCurve, CrystalSpec, PumpLaser
 
 
@@ -43,7 +43,6 @@ def ideal_config(pair_rate_hz=1e4, duration_s=1.0, phase=0.0, visibility=1.0,
         include_umis=True,
         simulate_all_channels=False,
         convert_signal=False,
-        direct_signal_detector=ideal_det,
     )
 
 
@@ -115,7 +114,7 @@ def test_incoherent_center_weight_half_of_bright():
 def test_detected_coincidences_never_exceed_generated_pairs():
     cfg = ideal_config(pair_rate_hz=5e4)
     run = generate_run(cfg)
-    generated = run.diagnostics["per_channel"]["S2-I2"]["generated_pairs"]
+    generated = run.generated_pairs["S2-I2"]
     w = _center_counts(run, cfg)
     assert w.center + w.early + w.late <= generated
 
@@ -133,7 +132,8 @@ def test_run_determinism_byte_identical():
 
 
 def test_changing_one_detector_leaves_other_stream_identical():
-    cfg = ideal_config(dark_hz=100.0)
+    # with conversion, the signal arm has its own detector (apd2)
+    cfg = replace(ideal_config(dark_hz=100.0), convert_signal=True)
     base = generate_run(cfg)
     louder_idler = replace(cfg, apd1=replace(cfg.apd1, dark_rate_hz=5000.0))
     changed = generate_run(louder_idler)
@@ -160,9 +160,10 @@ def default_config():
 def test_default_scenario_singles_rates_match_analytic_chain(default_config):
     cfg = replace(default_config, duration_s=10.0, simulate_all_channels=False)
     run = generate_run(cfg)
-    d = run.diagnostics["per_channel"]["S2-I2"]
-    chip_rate = d["pair_rate_hz"] * (1.0 + 0.10)  # quadratic plus linear share
-    expected_signal = chip_rate * d["signal_survival"] * 0.5 * cfg.apd2.efficiency \
+    op = run.op
+    chip_rate = pair_rate(cfg.rates, cfg.chip_power_uw, "S2-I2") * (1.0 + 0.10)  # plus linear share
+    signal_survival = op.signal_survival * op.eta_quantum * op.acceptance["S2-I2"]
+    expected_signal = chip_rate * signal_survival * 0.5 * cfg.apd2.efficiency \
         + cfg.apd2.dark_rate_hz
     observed = run.signal_stream.rate_hz
     assert abs(observed - expected_signal) < 5.0 * np.sqrt(expected_signal / 10.0) + 10.0
