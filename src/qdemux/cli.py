@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,29 +35,6 @@ from .montecarlo import (
     operating_point,
     sub_seed,
 )
-
-
-@dataclass
-class RunManifest:
-    scenario: str
-    config_digest: str
-    seed: int
-    tool_version: str
-    files: list[str]
-    runtime_s: float
-
-    def write(self, outdir: Path) -> Path:
-        path = outdir / "manifest.json"
-        payload = {
-            "scenario": self.scenario,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "files": sorted(self.files),
-            "runtime_s": self.runtime_s,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -484,15 +461,14 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    manifest = RunManifest(
-        scenario=args.command,
-        config_digest=digest,
-        seed=config.seed,
-        tool_version=__version__,
-        files=files,
-        runtime_s=time.monotonic() - start,
-    )
-    manifest.write(outdir)
+    _write_json(outdir / "manifest.json", {
+        "scenario": args.command,
+        "config_digest": digest,
+        "seed": config.seed,
+        "tool_version": __version__,
+        "files": sorted(files),
+        "runtime_s": time.monotonic() - start,
+    })
     return 0
 
 

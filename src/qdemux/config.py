@@ -40,7 +40,6 @@ def baseline_dict() -> dict:
         "plan": {
             "pump_index": 34,          # pump parked on C34 (1550.12 nm)
             "offsets": [10, 12, 14],   # S1/I1..S3/I3 at +-1.0/1.2/1.4 THz
-            "active": "S2",
         },
         "ring": {
             "fsr_ghz": 200.0,              # two grid slots per resonance
@@ -289,6 +288,12 @@ def build_config(raw: dict) -> ScenarioConfig:
 
     run = t["run"]
     active_label = run.pop("active_channel")  # the other run keys are ScenarioConfig fields
+    # ScenarioConfig checks both too; chip power is checked here, before the calibration
+    # and the Raman rates use it, so that the message names its key
+    if run["chip_power_uw"] < 0:
+        raise ConfigError(f"run.chip_power_uw: must be >= 0, got {run['chip_power_uw']}")
+    if run["duration_s"] <= 0:
+        raise ConfigError(f"run.duration_s: must be positive, got {run['duration_s']}")
     sf = t["sfwm"]
     if sf["raman_fraction"] < 0:
         raise ConfigError(f"sfwm.raman_fraction: must be >= 0, got {sf['raman_fraction']}")

@@ -98,13 +98,13 @@ class DetectorSpec:
                 f"timing_jitter_sigma_ps: must be >= 0, got {self.timing_jitter_sigma_ps}")
 
 
-def accidental_rate(singles_a_hz: float, singles_b_hz: float, window_ns: float) -> float:
+def accidental_rate(singles_a_hz, singles_b_hz, window_ns: float):
     """Accidental coincidence rate [1/s]: R_a * R_b * window.
 
     Flat-background approximation, valid when both singles streams are
-    uncorrelated on the scale of the window.
+    uncorrelated on the scale of the window.  Accepts scalars or arrays.
     """
-    if singles_a_hz < 0 or singles_b_hz < 0:
+    if np.any(singles_a_hz < 0) or np.any(singles_b_hz < 0):
         raise ValueError("singles rates must be >= 0")
     return singles_a_hz * singles_b_hz * window_ns * 1e-9
 
@@ -138,27 +138,18 @@ def car_curve(source: SfwmRates, arm_signal: DetectionArm, arm_idler: DetectionA
     NaN where the accidental rate vanishes (all noise off at P = 0).
     Accepts a scalar or an array of powers.
     """
-    p = np.asarray(pump_power_uw, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("pump power must be >= 0")
+    p = np.atleast_1d(np.asarray(pump_power_uw, dtype=float))
     eta_s = arm_signal.efficiency()
     eta_i = arm_idler.efficiency()
-    pairs = source.pair_coefficient * source.channel_enhancement(label or "") * p**2
-    c_true = eta_s * eta_i * pairs
-    s_sig = np.array([
-        ring_source.singles_rate(source, pi, "signal", eta_s,
-                                 arm_signal.detector.dark_rate_hz, label)
-        for pi in np.atleast_1d(p)
-    ])
-    s_idl = np.array([
-        ring_source.singles_rate(source, pi, "idler", eta_i,
-                                 arm_idler.detector.dark_rate_hz, label)
-        for pi in np.atleast_1d(p)
-    ])
-    acc = s_sig * s_idl * window_ns * 1e-9
+    c_true = eta_s * eta_i * ring_source.pair_rate(source, p, label)
+    s_sig = ring_source.singles_rate(source, p, "signal", eta_s,
+                                     arm_signal.detector.dark_rate_hz, label)
+    s_idl = ring_source.singles_rate(source, p, "idler", eta_i,
+                                     arm_idler.detector.dark_rate_hz, label)
+    acc = accidental_rate(s_sig, s_idl, window_ns)
     with np.errstate(divide="ignore", invalid="ignore"):
-        car = np.where(acc > 0, np.atleast_1d(c_true) / acc, np.nan)
-    return car if p.ndim else float(car[0])
+        car = np.where(acc > 0, c_true / acc, np.nan)
+    return car if np.ndim(pump_power_uw) else float(car[0])
 
 
 def apply_detector(stream: EventStream, spec: DetectorSpec,

@@ -143,9 +143,12 @@ class SfwmRates:
         return float(self.enhancement.get(label, 1.0))
 
 
-def pair_rate(rates: SfwmRates, pump_power_uw: float, label: str | None = None) -> float:
-    """Generated pair rate [pairs/s] at on-chip pump power ``pump_power_uw``."""
-    if pump_power_uw < 0:
+def pair_rate(rates: SfwmRates, pump_power_uw, label: str | None = None):
+    """Generated pair rate [pairs/s] at on-chip pump power ``pump_power_uw``.
+
+    Accepts a scalar or an array of powers.
+    """
+    if np.any(pump_power_uw < 0):
         raise ValueError(f"pump power must be >= 0, got {pump_power_uw} uW")
     enh = rates.channel_enhancement(label) if label is not None else 1.0
     return rates.pair_coefficient * enh * pump_power_uw**2
@@ -153,26 +156,24 @@ def pair_rate(rates: SfwmRates, pump_power_uw: float, label: str | None = None) 
 
 def singles_rate(
     rates: SfwmRates,
-    pump_power_uw: float,
+    pump_power_uw,
     side: str,
     efficiency: float = 1.0,
     dark: float = 0.0,
     label: str | None = None,
-) -> float:
+):
     """Detected singles rate [counts/s] on one arm.
 
-    ``efficiency * (pair_coefficient * P^2 + raman * P) + dark``: the
-    quadratic four-wave-mixing term and the linear Raman term share the
-    arm's detection efficiency; detector dark counts do not.
+    ``efficiency * (pair_rate(P) + raman * P) + dark``: the quadratic
+    four-wave-mixing term and the linear Raman term share the arm's
+    detection efficiency; detector dark counts do not.  Accepts a scalar
+    or an array of powers.
     """
-    if pump_power_uw < 0:
-        raise ValueError(f"pump power must be >= 0, got {pump_power_uw} uW")
     if side == "signal":
         raman = rates.raman_signal
     elif side == "idler":
         raman = rates.raman_idler
     else:
         raise ValueError(f"side must be 'signal' or 'idler', got {side!r}")
-    enh = rates.channel_enhancement(label) if label is not None else 1.0
-    sfwm = rates.pair_coefficient * enh * pump_power_uw**2
+    sfwm = pair_rate(rates, pump_power_uw, label)
     return efficiency * (sfwm + raman * pump_power_uw) + dark

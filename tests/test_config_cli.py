@@ -78,6 +78,14 @@ def test_unknown_or_missing_loss_group_names_field(entry):
      r"sfwm\.enhancement\.S2: expected a pair label of \['S1-I1', 'S2-I2', 'S3-I3'\]"),
     ({"sfwm": {"enhancement": {"S2-I2": -3}}},
      r"sfwm\.enhancement\.S2-I2: must be >= 0, got -3\.0"),
+    ({"plan": {"active": "S3"}},
+     r"unknown config key 'plan\.active'"),
+    ({"run": {"chip_power_uw": -5}},
+     r"^run\.chip_power_uw: must be >= 0, got -5\.0"),
+    ({"run": {"chip_power_uw": -5}, "sfwm": {"pair_coefficient": 0.5}},
+     r"^run\.chip_power_uw: must be >= 0, got -5\.0"),
+    ({"run": {"duration_s": 0}},
+     r"^run\.duration_s: must be positive, got 0\.0"),
 ])
 def test_malformed_override_names_path_and_expectation(tmp_path, override, message):
     path = tmp_path / "bad.json"

@@ -224,6 +224,39 @@ def test_apply_detector_output_sorted_and_in_range():
     assert out.timestamps_ps[-1] < 10**12
 
 
+def _reference_detector(stream, spec, rng):
+    """apply_detector's stages, assembled with np.unique and dead time by a scan."""
+    t = stream.timestamps_ps
+    t = t[rng.random(t.size) < spec.efficiency]
+    t = t + np.rint(rng.normal(0.0, spec.timing_jitter_sigma_ps, t.size)).astype(np.int64)
+    n_dark = rng.poisson(spec.dark_rate_hz * stream.duration_s)
+    dark = rng.integers(0, stream.duration_ps, size=n_dark, dtype=np.int64)
+    t = np.unique(np.concatenate([t, dark]))
+    t = t[(t >= 0) & (t < stream.duration_ps)]
+    dead_ps = int(round(spec.dead_time_us * 1e6))
+    kept = []
+    last = -dead_ps
+    for ti in t:
+        if ti - last >= dead_ps:
+            kept.append(ti)
+            last = ti
+    return np.asarray(kept, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dead_time_us", [0.0002, 0.002])
+def test_apply_detector_equals_unique_reference(dead_time_us):
+    # dense enough that jitter makes exact repeats and pushes events past both ends
+    spec = DetectorSpec(efficiency=0.8, dark_rate_hz=2e7, dead_time_us=dead_time_us,
+                        timing_jitter_sigma_ps=150.0)
+    rng = np.random.default_rng(4)
+    edges = np.concatenate([np.arange(0, 400, 20), 10**8 - 1 - np.arange(0, 400, 20)])
+    s = _stream(np.unique(np.concatenate([rng.integers(0, 10**8, 200_000), edges])),
+                duration_s=1e-4)
+    out = apply_detector(s, spec, seed=np.random.default_rng(8))
+    assert np.array_equal(out.timestamps_ps,
+                          _reference_detector(s, spec, np.random.default_rng(8)))
+
+
 def test_detector_spec_validation():
     with pytest.raises(ValueError, match="efficiency"):
         DetectorSpec(efficiency=0.0)

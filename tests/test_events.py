@@ -4,6 +4,7 @@ import pytest
 from qdemux.events import (
     CoincidenceConfig,
     EventStream,
+    assemble_timestamps,
     central_window_counts,
     histogram,
     read_streams,
@@ -72,6 +73,30 @@ def test_from_unsorted_sorts_dedupes_and_clips():
     s = EventStream.from_unsorted("x", np.array([30, 10, 10, -5, 2_000_000_000_000]),
                                   duration_s=1.0, seed=0)
     assert list(s.timestamps_ps) == [10, 30]
+
+
+def _raw_timestamps(case, duration_ps, rng):
+    if case == "spread":  # negatives and values >= duration on both sides
+        return rng.integers(-duration_ps // 10, duration_ps + duration_ps // 10, 50_000)
+    if case == "repeats":  # far more draws than distinct values, plus both edges
+        t = rng.integers(-20, 500, 20_000)
+        return np.concatenate([t, [0, 0, duration_ps - 1, duration_ps, duration_ps]])
+    if case == "empty":
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([rng.integers(-10**6, 0, 300),
+                           rng.integers(duration_ps, 2 * duration_ps, 300)])
+
+
+@pytest.mark.parametrize("case", ["spread", "repeats", "empty", "all_out_of_range"])
+def test_assemble_timestamps_equals_unique_then_clip(case):
+    rng = np.random.default_rng(21)
+    for duration_ps in (400, 10**9):
+        raw = _raw_timestamps(case, duration_ps, rng).astype(np.int64)
+        expected = np.unique(raw)
+        expected = expected[(expected >= 0) & (expected < duration_ps)]
+        got = assemble_timestamps(raw, duration_ps)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
 
 
 # --- window integrals ---

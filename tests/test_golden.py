@@ -33,7 +33,7 @@ GOLDEN = {
         "car_mc.csv":
             "aa9f962b443c0f931ac9ad13f62564952777f09524b4549c54056b93a45b543b",
         "manifest.json":
-            "8b66b524e5fc47b972553b20b7b1c30bdd9e4334dfcdfed831d373ca045d950b",
+            "9634a79ff11dfe729407c1dfb41a923249806bb7aa21cf9eea852bd96b28d162",
     },
     "demux": {
         "crosstalk_matrix.csv":
@@ -51,21 +51,21 @@ GOLDEN = {
         "fringe_S3_before.csv":
             "987de7dafcd008d2863bac304cb8a4ec4a4f174eed90397f549e5ea32d8b09e8",
         "manifest.json":
-            "7df2342a84cba6cbe87bca55a74819e5da89b25366d6fe93192d24f4e5c2bb8e",
+            "931364287696e81d2be2f7df70fe0a6f432663aaf9bade21b7b9998233aa6285",
         "pump_solutions.json":
             "0076d8eed233ce4c6f15738014dccd800b19770883cb27c30dbaf7186f150b11",
         "tags_S1.csv":
             "59f06f5589758f451f415b64729e44a467bcfac67d24b400c37e6536bb67d082",
         "tags_S1.manifest.json":
-            "9f9a6babe0fa50fa69bbb67da1bb1b490f31c2da2fdedfd00ad9a10285680c76",
+            "6fdbfb492f1ff026c9e8e039663fc14d9882879707d6a269865a1582c45aca61",
         "tags_S2.csv":
             "11c0a666118bc173c36e87135200c1847bd2909da0989eed6bfbf7d6e408c884",
         "tags_S2.manifest.json":
-            "9a5c3aa261d5416fc614c15a3f62dcd069334d976ed9e2890c493e5f3e6aa90c",
+            "5a0abcd6615ffe6ac5b4f10d252deac8cd57938651d64c6c3d397de041ceaaaa",
         "tags_S3.csv":
             "957f2601b1ffa671b250d61e6b9641403ec259ca6057d8f990d1abb8c8042e0d",
         "tags_S3.manifest.json":
-            "8ca97442a6e513d255431ec757219a25212abc7b7d3e2428fa9a1a8d14dcd4f7",
+            "79fb9781f414652b16461b000a05b8c5eaf575cc9df965cebba8dbc15560f83d",
         "visibility_table.json":
             "6729670ffaf6f581aa2735595832f186dd0ec54c79e64a300c2310881186b918",
         "visibility_table.txt":
@@ -77,17 +77,17 @@ GOLDEN = {
         "fringe_S2_visibility.json":
             "ad363fd15dd45589c1b8005bf24c19a4196db83d9da51687cdcd8fe5005f1806",
         "manifest.json":
-            "a9bc00012672f0d7d73146b33503869675ea9736ae5cf8ff89acff3c5fb18fcf",
+            "7f420a4d5ce52c21199cee60b215e330df02a354b2c803db5edbd0a323baee1e",
     },
     "plan": {
         "manifest.json":
-            "4e50c0d72577a0c32c0d0f00eaeb1d5fcc6903127ce74f5f32aabb611e5fa7da",
+            "71a40979db978e6b82eea37b94a7dcb9225a28424c440e632bb00e095b770bfb",
         "plan.csv":
             "042e8338f54dd64e6b4c495770fa98d1e62b1bb250e3173b08e71167a160409b",
     },
     "qpm": {
         "manifest.json":
-            "de707b8efe3cf438004f2786a3f0f25c71bbce902a77ff022379a17dbdd60eb7",
+            "efbd83c1379fa5fcb3c8de818ad58356c56fcbe066abfb0868c75caaca42176d",
         "qpm_pump_tuning.csv":
             "1b8fe50005634d0bce4d938db33961aa233bd3492aa8ad76948e704db690f657",
         "qpm_solutions.json":
