@@ -161,7 +161,8 @@ def test_default_scenario_singles_rates_match_analytic_chain(default_config):
     cfg = replace(default_config, duration_s=10.0, simulate_all_channels=False)
     run = generate_run(cfg)
     op = run.op
-    chip_rate = pair_rate(cfg.rates, cfg.chip_power_uw, "S2-I2") * (1.0 + 0.10)  # plus linear share
+    # quadratic plus linear share
+    chip_rate = pair_rate(cfg.rates, cfg.chip_power_uw, "S2-I2") * (1.0 + 0.10)
     signal_survival = op.signal_survival * op.eta_quantum * op.acceptance["S2-I2"]
     expected_signal = chip_rate * signal_survival * 0.5 * cfg.apd2.efficiency \
         + cfg.apd2.dark_rate_hz
