@@ -8,7 +8,7 @@ energy ratio and can exceed one.
 from qdemux import power_efficiency, quantum_efficiency, sfg_wavelength
 from qdemux.sfg import ConversionCurve, quantum_from_power
 
-curve = ConversionCurve.from_calibration(power_mw=550.0, eta_quantum=0.38)
+curve = ConversionCurve.from_calibration(calibration_power_mw=550.0, calibration_eta=0.38)
 print(f"calibrated knee power: {curve.p_pi_mw:.1f} mW "
       f"(sine argument reaches pi/2 there)")
 

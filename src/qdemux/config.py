@@ -218,8 +218,9 @@ def _typed(value, base, path: str):
 
 
 def _build(cls, fields: dict, path: str):
-    """``cls(**fields)``; each dataclass message starts with its attribute,
-    so a ``ValueError`` becomes a ``ConfigError`` naming ``path.attribute``."""
+    """``cls(**fields)``; each message of ``cls`` starts with the attribute or
+    argument it is about, so a ``ValueError`` becomes a ``ConfigError``
+    naming ``path.attribute``."""
     try:
         return cls(**fields)
     except ValueError as exc:
@@ -260,14 +261,13 @@ def build_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"crystal.temperature_c: {exc}") from None
 
     conv = t["conversion"]
-    try:
-        if conv["p_pi_mw"] == "auto":
-            curve = ConversionCurve.from_calibration(
-                conv["calibration_power_mw"], conv["calibration_eta"], conv["eta_device"])
-        else:
-            curve = ConversionCurve(conv["eta_device"], conv["p_pi_mw"])
-    except ValueError as exc:
-        raise ConfigError(f"conversion: {exc}") from None
+    if conv["p_pi_mw"] == "auto":
+        calibration = ("calibration_power_mw", "calibration_eta", "eta_device")
+        curve = _build(ConversionCurve.from_calibration, {k: conv[k] for k in calibration},
+                       "conversion")
+    else:
+        curve = _build(ConversionCurve, {k: conv[k] for k in ("eta_device", "p_pi_mw")},
+                       "conversion")
 
     umis = {side: _build(UmiSpec, t["umis"][side], f"umis.{side}")
             for side in ("idler", "signal")}
@@ -288,8 +288,12 @@ def build_config(raw: dict) -> ScenarioConfig:
 
     run = t["run"]
     active_label = run.pop("active_channel")  # the other run keys are ScenarioConfig fields
-    # ScenarioConfig checks both too; chip power is checked here, before the calibration
-    # and the Raman rates use it, so that the message names its key
+    # ScenarioConfig checks these three too; they are checked here so that the message
+    # names the key, and chip power before the calibration and the Raman rates use it
+    signal_labels = sorted(pair.signal_label for pair in plan)
+    if active_label not in signal_labels:
+        raise ConfigError(f"run.active_channel: channel {active_label!r} not in plan "
+                          f"{signal_labels}")
     if run["chip_power_uw"] < 0:
         raise ConfigError(f"run.chip_power_uw: must be >= 0, got {run['chip_power_uw']}")
     if run["duration_s"] <= 0:

@@ -7,10 +7,10 @@ trips are lossless, and sorting is exact.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -247,6 +247,13 @@ def central_window_counts(h: CoincidenceHistogram, window_ns: float,
 # ---------------------------------------------------------------------------
 # Tag-file I/O: CSV of (channel, time_ps) plus a JSON sidecar manifest.
 
+# Rows per block written, and characters per block read (that many rows of
+# 16 characters): large enough that the per-block Python cost vanishes, small
+# enough that one block's text and string lists stay a few MB.
+_BLOCK_ROWS = 16_384
+_BLOCK_CHARS = 16 * _BLOCK_ROWS
+_HEADER = "channel,time_ps"
+
 
 def _manifest_path(path: Path) -> Path:
     return path.with_suffix(".manifest.json")
@@ -256,29 +263,47 @@ def write_streams(streams: list[EventStream], path: str | Path,
                   config_digest: str = "") -> Path:
     """Write streams to a tag CSV with a sidecar manifest; returns the CSV path.
 
-    Rows are ``channel,time_ps`` with timestamps ascending per channel.
-    The manifest records duration, seed, labels, and the scenario digest
-    so a written run can be re-analyzed without its original config.
+    The CSV is a ``channel,time_ps`` header then one ``label,time_ps`` row
+    per event, each line ended by CRLF, one stream after another in the
+    given order, timestamps ascending within each.  Labels are written
+    unquoted, so a label must not contain a comma, a double quote, CR or
+    LF.  The manifest records duration, seed, labels, and the scenario
+    digest so a written run can be re-analyzed without its original config.
+
+    Raises ``ValueError`` naming the stream for a file ``read_streams``
+    could not read back: a duration other than the first stream's, a
+    repeated label, or a label with one of the characters above.
     """
     if not streams:
         raise ValueError("no streams to write")
-    duration = streams[0].duration_s
-    seed = streams[0].seed
+    first = streams[0]
+    labels: list[str] = []
     for s in streams:
-        if s.duration_s != duration:
-            raise ValueError("all streams in one tag file must share a duration")
+        if s.duration_s != first.duration_s:
+            raise ValueError(f"stream {s.label!r}: duration {s.duration_s} s differs from "
+                             f"{first.duration_s} s; all streams in one tag file must share "
+                             f"a duration")
+        if s.label in labels:
+            raise ValueError(f"stream {s.label!r}: label appears twice; each stream of a "
+                             f"tag file needs its own")
+        if any(c in s.label for c in ',"\r\n'):
+            raise ValueError(f"stream {s.label!r}: a label must not contain a comma, a double "
+                             f"quote, CR or LF")
+        labels.append(s.label)
     path = Path(path)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "time_ps"])
+        fh.write(_HEADER + "\r\n")
         for s in streams:
-            for t in s.timestamps_ps:
-                writer.writerow([s.label, int(t)])
+            prefix = s.label + ","
+            row_break = "\r\n" + prefix
+            for start in range(0, s.count, _BLOCK_ROWS):
+                block = s.timestamps_ps[start:start + _BLOCK_ROWS].tolist()
+                fh.write(prefix + row_break.join(map(str, block)) + "\r\n")
     manifest = {
-        "duration_s": duration,
-        "seed": seed,
+        "duration_s": first.duration_s,
+        "seed": first.seed,
         "config_digest": config_digest,
-        "labels": [s.label for s in streams],
+        "labels": labels,
     }
     _manifest_path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -287,43 +312,85 @@ def write_streams(streams: list[EventStream], path: str | Path,
 def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
     """Read a tag CSV and its manifest back into streams.
 
-    Raises ``ValueError`` naming the file and the offending line for
-    malformed rows and rows of a channel the manifest does not list, and
-    the file and the offending channel for timestamps that are not
-    strictly increasing or fall outside ``[0, duration)``.
+    Lines may end in CRLF, LF or CR, and blank lines are skipped.  Every
+    other line must be ``label,time_ps``: an unquoted label that the
+    manifest lists, as ``write_streams`` writes it, and a time that
+    ``int()`` reads and int64 holds.
+
+    Raises ``ValueError`` naming the manifest if it lists a label twice;
+    naming the file and the offending line for a row without exactly 2
+    fields, a time that is not such an integer, and a channel the manifest
+    does not list; and naming the file and the offending channel for
+    timestamps that are not strictly increasing or fall outside
+    ``[0, duration)``.
     """
     path = Path(path)
     manifest = json.loads(_manifest_path(path).read_text())
-    per_label: dict[str, list[int]] = {label: [] for label in manifest["labels"]}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["channel", "time_ps"]:
-            raise ValueError(f"{path}: line 1: expected header 'channel,time_ps', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            label, raw = row
+    labels = manifest["labels"]
+    index = {label: i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError(f"{_manifest_path(path)}: a label appears twice in {labels}")
+    pieces = [[np.empty(0, dtype=np.int64)] for _ in labels]
+    with path.open() as fh:
+        header = fh.readline().rstrip("\n")
+        if header != _HEADER:
+            raise ValueError(f"{path}: line 1: expected header '{_HEADER}', "
+                             f"got {header.split(',')}")
+        lineno = 2
+        while block := fh.read(_BLOCK_CHARS):
+            block += fh.readline()  # up to the end of the block's last line
             try:
-                t = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: time_ps {raw!r} is not an integer"
-                ) from None
-            try:
-                per_label[label].append(t)
-            except KeyError:
-                raise ValueError(
-                    f"{path}: line {lineno}: channel {label!r} not in the manifest's "
-                    f"labels {manifest['labels']}"
-                ) from None
+                times, owner = _parse_block(block, index)
+            except (ValueError, OverflowError, KeyError):
+                _raise_first_bad_line(path, block, lineno, labels)
+            for i, own in enumerate(pieces):
+                own.append(times[owner == i])
+            lineno += block.count("\n")
     streams = []
-    for label in manifest["labels"]:
-        t = np.asarray(per_label[label], dtype=np.int64)
+    for label, own in zip(labels, pieces):
         try:
-            streams.append(EventStream(label, t, manifest["duration_s"], manifest["seed"]))
+            streams.append(EventStream(label, np.concatenate(own), manifest["duration_s"],
+                                       manifest["seed"]))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return streams, manifest
+
+
+def _parse_block(block: str, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Times and label indices of a block of whole lines.
+
+    Raises ``ValueError``, ``OverflowError`` or ``KeyError``, without
+    saying where, if any row is malformed.
+    """
+    if not block.endswith("\n"):
+        block += "\n"
+    if block.startswith("\n") or "\n\n" in block:
+        block = "".join(line + "\n" for line in block.split("\n") if line)
+    chars = np.frombuffer(block.encode(), dtype=np.uint8)
+    separators = chars[(chars == ord(",")) | (chars == ord("\n"))]
+    if not (separators[0::2] == ord(",")).all() or not (separators[1::2] == ord("\n")).all():
+        raise ValueError("not one comma per row")
+    fields = block.replace(",", "\n").split("\n")
+    del fields[-1]  # the empty string after the last line break
+    times = np.array(fields[1::2], dtype=np.int64)
+    owner = np.fromiter(map(index.__getitem__, fields[0::2]), dtype=np.intp, count=times.size)
+    return times, owner
+
+
+def _raise_first_bad_line(path: Path, block: str, lineno: int, labels: list[str]) -> NoReturn:
+    """Raise the error of the first bad row of a block, whose first line is ``lineno``."""
+    for n, row in enumerate(block.split("\n"), start=lineno):
+        if not row:
+            continue
+        fields = row.split(",")
+        if len(fields) != 2:
+            raise ValueError(f"{path}: line {n}: expected 2 fields, got {len(fields)}")
+        label, raw = fields
+        try:
+            np.array([raw], dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: line {n}: time_ps {raw!r} is not an integer") from None
+        if label not in labels:
+            raise ValueError(
+                f"{path}: line {n}: channel {label!r} not in the manifest's labels {labels}")
+    raise AssertionError(f"{path}: no bad row from line {lineno} on")

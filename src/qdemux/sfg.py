@@ -297,17 +297,20 @@ class ConversionCurve:
             raise ValueError(f"p_pi_mw: must be positive, got {self.p_pi_mw} mW")
 
     @classmethod
-    def from_calibration(cls, power_mw: float, eta_quantum: float,
+    def from_calibration(cls, calibration_power_mw: float, calibration_eta: float,
                          eta_device: float = 1.0) -> "ConversionCurve":
-        """Build the curve through one measured (power, efficiency) point."""
-        if power_mw <= 0:
-            raise ValueError(f"calibration power must be positive, got {power_mw} mW")
-        if not 0.0 < eta_quantum < eta_device:
+        """Build the curve through one measured (power, quantum efficiency) point.
+
+        Each message starts with the argument it is about.
+        """
+        if calibration_power_mw <= 0:
             raise ValueError(
-                f"calibration efficiency must be in (0, eta_device={eta_device}), got {eta_quantum}"
-            )
-        ratio = (2.0 / np.pi) * np.arcsin(np.sqrt(eta_quantum / eta_device))
-        return cls(eta_device=eta_device, p_pi_mw=power_mw / ratio**2)
+                f"calibration_power_mw: must be positive, got {calibration_power_mw} mW")
+        if not 0.0 < calibration_eta < eta_device:
+            raise ValueError(f"calibration_eta: must be in (0, eta_device={eta_device}), "
+                             f"got {calibration_eta}")
+        ratio = (2.0 / np.pi) * np.arcsin(np.sqrt(calibration_eta / eta_device))
+        return cls(eta_device=eta_device, p_pi_mw=calibration_power_mw / ratio**2)
 
 
 def quantum_efficiency(curve: ConversionCurve, pump_power_mw) -> float | np.ndarray:

@@ -86,6 +86,14 @@ def test_unknown_or_missing_loss_group_names_field(entry):
      r"^run\.chip_power_uw: must be >= 0, got -5\.0"),
     ({"run": {"duration_s": 0}},
      r"^run\.duration_s: must be positive, got 0\.0"),
+    ({"conversion": {"calibration_power_mw": 0}},
+     r"^conversion\.calibration_power_mw: must be positive, got 0\.0 mW"),
+    ({"conversion": {"calibration_eta": 0}},
+     r"^conversion\.calibration_eta: must be in \(0, eta_device=1\.0\), got 0\.0"),
+    ({"conversion": {"p_pi_mw": -1}},
+     r"^conversion\.p_pi_mw: must be positive, got -1\.0 mW"),
+    ({"run": {"active_channel": "S9"}},
+     r"^run\.active_channel: channel 'S9' not in plan \['S1', 'S2', 'S3'\]"),
 ])
 def test_malformed_override_names_path_and_expectation(tmp_path, override, message):
     path = tmp_path / "bad.json"
@@ -234,6 +242,16 @@ def test_config_error_exits_1(tmp_path, capsys):
 def test_runtime_error_exits_2(tmp_path, capsys):
     assert cli.main(["analyze", "--tags", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def test_analyze_out_of_range_time_names_file_and_line(tmp_path, capsys):
+    tags = tmp_path / "tags.csv"
+    tags.write_text("channel,time_ps\nA,100\nB,99999999999999999999\n")
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "config_digest": "", "labels": ["A", "B"]}')
+    assert cli.main(["analyze", "--tags", str(tags), "--out", str(tmp_path / "out")]) == 2
+    assert ("tags.csv: line 3: time_ps '99999999999999999999' is not an integer"
+            in capsys.readouterr().err)
 
 
 def test_manifest_written_with_digest_and_files(tmp_path):

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from qdemux import events
 from qdemux.events import (
     CoincidenceConfig,
     EventStream,
@@ -202,6 +205,16 @@ def test_read_out_of_range_time_names_file_and_channel(tmp_path):
         read_streams(csv_path)
 
 
+def test_manifest_listing_a_label_twice_rejected(tmp_path):
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_text("channel,time_ps\nA,1\nA,2\n")
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "config_digest": "", "labels": ["A", "A"]}'
+    )
+    with pytest.raises(ValueError, match=r"tags\.manifest\.json: a label appears twice"):
+        read_streams(csv_path)
+
+
 def test_bad_header_rejected(tmp_path):
     csv_path = tmp_path / "tags.csv"
     csv_path.write_text("time,channel\n")
@@ -210,6 +223,94 @@ def test_bad_header_rejected(tmp_path):
     )
     with pytest.raises(ValueError, match="header"):
         read_streams(csv_path)
+
+
+def _block_spanning_streams():
+    """Streams longer than two write blocks, an empty one, and a single row."""
+    rng = np.random.default_rng(12)
+    n = 2 * events._BLOCK_ROWS + 5
+    long_a = np.sort(rng.choice(10**12, n, replace=False))
+    long_b = np.sort(rng.choice(10**12, n + 1, replace=False))
+    return [EventStream("S2'", long_a, 1.0, 4),
+            EventStream("I1", np.array([], dtype=np.int64), 1.0, 4),
+            EventStream("I2", long_b, 1.0, 4),
+            EventStream("I3", np.array([999_999_999_999]), 1.0, 4)]
+
+
+def test_written_bytes_equal_csv_writer(tmp_path):
+    streams = _block_spanning_streams()
+    reference = tmp_path / "reference.csv"
+    with reference.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["channel", "time_ps"])
+        for s in streams:
+            writer.writerows([s.label, int(t)] for t in s.timestamps_ps)
+    path = write_streams(streams, tmp_path / "tags.csv")
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def _blank_lines_between_blocks(data: bytes) -> bytes:
+    lines = data.split(b"\r\n")
+    for at, blanks in ((len(lines) - 1, 2), (2 * events._BLOCK_ROWS, 2),
+                       (events._BLOCK_ROWS + 3, 3), (1, 1)):
+        lines[at:at] = [b""] * blanks
+    return b"\r\n".join(lines)
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda data: data.replace(b"\r\n", b"\n"),
+    lambda data: data.replace(b"\r\n", b"\r"),
+    _blank_lines_between_blocks,
+    lambda data: _blank_lines_between_blocks(data).replace(b"\r\n", b"\r"),
+], ids=["lf", "cr", "blank-lines", "cr-blank-lines"])
+def test_read_back_exact_for_other_line_endings(tmp_path, rewrite):
+    streams = _block_spanning_streams()
+    path = write_streams(streams, tmp_path / "tags.csv")
+    path.write_bytes(rewrite(path.read_bytes()))
+    back, _ = read_streams(path)
+    for orig, loaded in zip(streams, back, strict=True):
+        assert loaded.label == orig.label
+        assert np.array_equal(loaded.timestamps_ps, orig.timestamps_ps)
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("I2;500", "expected 2 fields, got 1"),
+    ("I2,500,7", "expected 2 fields, got 3"),
+    ("I2,500,I2,501", "expected 2 fields, got 4"),
+    ("I2,5e2", r"time_ps '5e2' is not an integer"),
+    ("I2,99999999999999999999", r"time_ps '99999999999999999999' is not an integer"),
+    ("Z,500", r"channel 'Z' not in the manifest's labels"),
+])
+def test_bad_row_past_first_block_names_its_line(tmp_path, bad_row, message):
+    streams = _block_spanning_streams()
+    path = write_streams(streams, tmp_path / "tags.csv")
+    lines = path.read_text().split("\n")
+    lines.insert(5, "")  # a blank line counts, as in any text editor
+    bad_line = 2 * events._BLOCK_ROWS + 11  # 1-based, past the first read block too
+    lines[bad_line - 1] = bad_row
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=rf"tags\.csv: line {bad_line}: {message}"):
+        read_streams(path)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["A", "B", "A"], r"stream 'A': label appears twice"),
+    (["A", "x,y"], r"stream 'x,y': a label must not contain a comma"),
+    (['say "A"'], r"""stream 'say "A"': a label must not contain"""),
+    (["A\r"], r"stream 'A\\r': a label must not contain"),
+    (["A\nB"], r"stream 'A\\nB': a label must not contain"),
+])
+def test_write_refuses_what_it_cannot_read_back(tmp_path, labels, message):
+    streams = [EventStream(label, np.array([1, 2]), 1.0, 0) for label in labels]
+    with pytest.raises(ValueError, match=message):
+        write_streams(streams, tmp_path / "tags.csv")
+    assert not (tmp_path / "tags.csv").exists()
+
+
+def test_write_refuses_mixed_durations_naming_the_stream(tmp_path):
+    streams = [EventStream("A", np.array([1]), 1.0, 0), EventStream("B", np.array([1]), 2.0, 0)]
+    with pytest.raises(ValueError, match=r"stream 'B': duration 2\.0 s differs from 1\.0 s"):
+        write_streams(streams, tmp_path / "tags.csv")
 
 
 def test_coincidence_config_validation():
