@@ -321,8 +321,12 @@ def _cmd_loss(args, config: ScenarioConfig, outdir: Path) -> list[str]:
 def _cmd_analyze(args, config: ScenarioConfig, outdir: Path) -> list[str]:
     streams, manifest = read_streams(args.tags)
     by_label = {s.label: s for s in streams}
-    label_a = args.a or manifest["labels"][0]
-    label_b = args.b or manifest["labels"][1]
+    labels = manifest["labels"]
+    if not (args.a and args.b) and len(labels) < 2:
+        raise ValueError(f"{args.tags}: tag file has channels {labels}; analyze needs two "
+                         "channels, or both --a and --b")
+    label_a = args.a or labels[0]
+    label_b = args.b or labels[1]
     if label_a not in by_label or label_b not in by_label:
         raise ValueError(
             f"channels {label_a!r}/{label_b!r} not in tag file {sorted(by_label)}"

@@ -15,6 +15,7 @@ the Michelson double pass).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,26 +133,35 @@ class FringeModel:
         return self.signal_phase_rad + self.idler_phase_rad + self.phase_offset_rad
 
 
-def outcome_distribution(fringe: FringeModel) -> dict[str, float]:
-    """Per-pair probabilities of the four coincidence outcomes.
+def _outcome_table(visibility: float, phi):
+    """Per-pair probabilities of the six interferometer outcomes, in order.
 
-    Each photon reaches the analyzed output port with amplitude 1/2 per
-    arm (two passes through a balanced splitter).  The short-short and
-    long-long amplitudes overlap at zero relative delay and interfere:
+    Each photon reaches the analyzed port with amplitude 1/2 per arm (two
+    passes through a balanced splitter) and survives its interferometer
+    with probability exactly 1/2: at delays far beyond the single-photon
+    coherence time there is no single-photon interference.  The
+    short-short and long-long two-photon amplitudes overlap at zero
+    relative delay and interfere, with Phi = phi_s + phi_i + phi_0:
 
-        p_center = (1 + V * cos(Phi)) / 8,   Phi = phi_s + phi_i + phi_0
-        p_early  = p_late = 1/16             (distinguishable SL / LS)
-        p_lost   = the rest (either photon out the unused port)
+        SS or LL (same shift)    : p_c = (1 + V cos Phi) / 8
+        SL (idler delayed)       : 1/16
+        LS (signal delayed)      : 1/16
+        signal survives alone    : 3/8 - p_c
+        idler survives alone     : 3/8 - p_c
+        both lost                : p_c + 1/8
+
+    ``phi`` is a scalar or an array of per-pair phases; the SL and LS rows
+    stay scalars.
     """
-    phi = fringe.total_phase_rad
-    p_center = (1.0 + fringe.visibility * np.cos(phi)) / 8.0
-    p_side = 1.0 / 16.0
-    return {
-        "center": float(p_center),
-        "early": p_side,
-        "late": p_side,
-        "lost": float(1.0 - p_center - 2.0 * p_side),
-    }
+    p_c = (1.0 + visibility * np.cos(phi)) / 8.0
+    alone = 0.375 - p_c
+    return p_c, 1.0 / 16.0, 1.0 / 16.0, alone, alone, p_c + 0.125
+
+
+def outcome_distribution(fringe: FringeModel) -> dict[str, float]:
+    """Per-pair probabilities of center (SS or LL), early (SL), late (LS) and lost."""
+    center, early, late, *lost = _outcome_table(fringe.visibility, fringe.total_phase_rad)
+    return {"center": float(center), "early": early, "late": late, "lost": float(sum(lost))}
 
 
 def fringe_expectation(fringe: FringeModel, base_rate: float) -> float:
@@ -180,43 +190,26 @@ class PairPathSample:
 def sample_pair_paths(fringe: FringeModel, n: int, rng: np.random.Generator) -> PairPathSample:
     """Sample joint interferometer outcomes for ``n`` pairs.
 
-    Refines :func:`outcome_distribution` so that the marginal survival of
-    each photon through its interferometer is exactly 1/2 (no
-    single-photon interference at delays far beyond the single-photon
-    coherence time), while the joint both-survive outcomes carry the
-    two-photon fringe:
-
-        SS or LL (interfering, same shift)  : (1 + V cos Phi) / 8
-        SL / LS (side peaks)                : 1/16 each
-        one photon lost                     : 3/8 - p_center each side
-        both lost                           : p_center + 1/8
+    Each pair draws a row of :func:`_outcome_table` at its own phase, the
+    set phase plus Gaussian jitter of ``phase_jitter_rad``; a fair coin
+    picks the long arm where the row leaves it open.
     """
     if fringe.phase_jitter_rad > 0:
         phi = fringe.total_phase_rad + rng.normal(0.0, fringe.phase_jitter_rad, n)
     else:
         phi = np.full(n, fringe.total_phase_rad)
-    p_center = (1.0 + fringe.visibility * np.cos(phi)) / 8.0
+    table = _outcome_table(fringe.visibility, phi)
 
     u = rng.random(n)
     arm = rng.random(n) < 0.5  # long-arm choice where one is needed
-
-    c1 = p_center                 # SS or LL, both analyzed
-    c2 = c1 + 1.0 / 16.0          # SL
-    c3 = c2 + 1.0 / 16.0          # LS
-    c4 = c3 + (0.375 - p_center)  # signal survives alone
-    c5 = c4 + (0.375 - p_center)  # idler survives alone
-
-    center = u < c1
-    sl = (u >= c1) & (u < c2)
-    ls = (u >= c2) & (u < c3)
-    s_only = (u >= c3) & (u < c4)
-    i_only = (u >= c4) & (u < c5)
-
-    signal_alive = center | sl | ls | s_only
-    idler_alive = center | sl | ls | i_only
-    signal_long = (center & arm) | ls | (s_only & arm)
-    idler_long = (center & arm) | sl | (i_only & arm)
-    return PairPathSample(signal_alive, idler_alive, signal_long, idler_long)
+    # row index: how many running-sum thresholds lie at or below u (one byte per pair)
+    k = sum((u >= c for c in itertools.accumulate(table[:5])), np.uint8(0))
+    return PairPathSample(
+        signal_alive=k <= 3,
+        idler_alive=(k <= 2) | (k == 4),
+        signal_long=(((k == 0) | (k == 3)) & arm) | (k == 2),
+        idler_long=(((k == 0) | (k == 4)) & arm) | (k == 1),
+    )
 
 
 def sample_single_paths(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

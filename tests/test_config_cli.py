@@ -13,7 +13,7 @@ from qdemux.config import (
     load_config,
     load_config_dict,
 )
-from qdemux.events import histogram, read_streams
+from qdemux.events import EventStream, histogram, read_streams, write_streams
 from qdemux.montecarlo import generate_run, sub_seed
 from qdemux.sfg import quantum_efficiency
 
@@ -251,6 +251,14 @@ def test_analyze_out_of_range_time_names_file_and_line(tmp_path, capsys):
         '{"duration_s": 1.0, "seed": 0, "config_digest": "", "labels": ["A", "B"]}')
     assert cli.main(["analyze", "--tags", str(tags), "--out", str(tmp_path / "out")]) == 2
     assert ("tags.csv: line 3: time_ps '99999999999999999999' is not an integer"
+            in capsys.readouterr().err)
+
+
+def test_analyze_one_stream_file_names_file_and_labels(tmp_path, capsys):
+    stream = EventStream("A", np.array([100, 200], dtype=np.int64), 1.0, seed=0)
+    tags = write_streams([stream], tmp_path / "tags.csv")
+    assert cli.main(["analyze", "--tags", str(tags), "--out", str(tmp_path / "out")]) == 2
+    assert ("tags.csv: tag file has channels ['A']; analyze needs two channels"
             in capsys.readouterr().err)
 
 

@@ -167,17 +167,31 @@ def test_apply_detector_identity():
     assert np.array_equal(out.timestamps_ps, s.timestamps_ps)
 
 
-def test_dead_time_drops_second_of_close_pair():
+@pytest.mark.parametrize("times_ps, kept_ps", [
     # two events 1 us apart with a 5 us dead time
+    ([1_000_000, 2_000_000, 8_000_000], [1_000_000, 8_000_000]),
+    # a gap of exactly the dead time is kept, one picosecond less is not
+    ([1_000_000, 6_000_000], [1_000_000, 6_000_000]),
+    ([1_000_000, 5_999_999], [1_000_000]),
+    # non-paralyzable: the dropped 3 us event does not extend the dead time
+    ([0, 3_000_000, 6_000_000, 9_000_000], [0, 6_000_000]),
+    ([4_000_000], [4_000_000]),
+    ([0, 5_000_000, 20_000_000], [0, 5_000_000, 20_000_000]),
+], ids=["close_pair", "gap_equal_dead_time", "gap_one_short", "chain", "one_event",
+        "no_close_pair"])
+def test_dead_time_drops_second_of_close_pair(times_ps, kept_ps):
     spec = DetectorSpec(efficiency=1.0, dead_time_us=5.0)
-    s = _stream([1_000_000, 2_000_000, 8_000_000])
+    s = _stream(times_ps)
     out = apply_detector(s, spec, seed=1)
-    assert list(out.timestamps_ps) == [1_000_000, 8_000_000]
+    assert list(out.timestamps_ps) == kept_ps
 
 
-def test_dead_time_pruning_is_exact_greedy():
+# 20 000 events with a 2000 ps dead time: pile-up (mean gap 500 ps), and
+# sparse (mean gap 100 ns, about 2 % of gaps close, as in the workloads)
+@pytest.mark.parametrize("span_ps", [10_000_000, 2_000_000_000], ids=["pile_up", "sparse"])
+def test_dead_time_pruning_is_exact_greedy(span_ps):
     rng = np.random.default_rng(3)
-    t = np.unique(rng.integers(0, 10_000_000, 20_000).astype(np.int64))
+    t = np.unique(rng.integers(0, span_ps, 20_000).astype(np.int64))
     spec = DetectorSpec(efficiency=1.0, dead_time_us=0.002)  # 2000 ps
     out = apply_detector(_stream(t, duration_s=1.0), spec, seed=1)
     # oracle: explicit sequential scan

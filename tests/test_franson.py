@@ -161,12 +161,15 @@ def test_fringe_expectation_sweep_recovers_visibility():
 # --- Monte Carlo path sampling ---
 
 
-def test_sample_pair_paths_frequencies():
+@pytest.mark.parametrize("phase_jitter_rad", [0.0, 1.0])
+def test_sample_pair_paths_frequencies(phase_jitter_rad):
     rng = np.random.default_rng(42)
     n = 200_000
-    model = FringeModel(visibility=1.0, signal_phase_rad=np.pi / 3.0)
+    model = FringeModel(visibility=1.0, signal_phase_rad=np.pi / 3.0,
+                        phase_jitter_rad=phase_jitter_rad)
     paths = sample_pair_paths(model, n, rng)
-    p_center = (1.0 + np.cos(np.pi / 3.0)) / 8.0
+    # Gaussian phase jitter scales the fringe by E[cos] = exp(-sigma^2 / 2)
+    p_center = (1.0 + np.exp(-phase_jitter_rad**2 / 2.0) * np.cos(np.pi / 3.0)) / 8.0
 
     both = paths.signal_alive & paths.idler_alive
     same_shift = paths.signal_long == paths.idler_long
