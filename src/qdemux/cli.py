@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, detection, ring_source, sfg
-from .channel_plan import build_plan, channel_wavelength
+from .channel_plan import channel_wavelength
 from .config import ConfigError, build_config, config_digest, load_config_dict
 from .detection import format_ledger_table, loss_report
 from .events import central_window_counts, histogram, read_streams, write_streams
@@ -45,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive(kind):
+    """An argparse ``type``: a ``kind`` (int or float) that is finite and above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names it
+    return parse
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -60,17 +72,12 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _cmd_plan(args, config: ScenarioConfig, outdir: Path) -> list[str]:
-    pump = args.pump if args.pump is not None else config.plan[0].pump.index
-    if args.offsets is not None:
-        offsets = [int(x) for x in args.offsets.split(",") if x]
-    else:
-        offsets = [p.offset for p in config.plan]
-    plan = build_plan(pump, offsets)
+    pump = config.plan[0].pump.index
     rows = []
-    for pair in reversed(plan):
+    for pair in reversed(config.plan):
         rows.append([f"Signal {pair.label.split('-')[0][1:]}", pair.signal.name,
                      f"{pair.signal.center_wavelength_nm:.4f}"])
-    for pair in reversed(plan):
+    for pair in reversed(config.plan):
         rows.append([f"Idler {pair.idler_label[1:]}", pair.idler.name,
                      f"{pair.idler.center_wavelength_nm:.4f}"])
     rows.append(["Pump", f"C{pump}", f"{channel_wavelength(pump):.4f}"])
@@ -191,11 +198,10 @@ def _fringe_phases(points: int) -> np.ndarray:
     return np.arange(points) * 2.0 * np.pi / points
 
 
-def _run_fringe(config: ScenarioConfig, channel: str, points: int, duration: float,
-                before: bool, scan_name: str):
+def _run_fringe(config: ScenarioConfig, points: int, duration: float, before: bool,
+                scan_name: str):
     cfg = replace(
         config,
-        active_label=channel,
         convert_signal=not before,
         simulate_all_channels=False,
     )
@@ -224,9 +230,9 @@ _FRINGE_HEADER = ["phase_rad", "temperature_k", "center_counts",
 
 
 def _cmd_fringe(args, config: ScenarioConfig, outdir: Path) -> list[str]:
-    channel = args.channel or config.active_label
-    scan, result = _run_fringe(config, channel, args.points, args.duration,
-                               args.before, scan_name=f"fringe:{channel}")
+    channel = config.active_label
+    scan, result = _run_fringe(config, args.points, args.duration, args.before,
+                               scan_name=f"fringe:{channel}")
     stem = f"fringe_{channel}{'_before' if args.before else ''}"
     _write_csv(outdir / f"{stem}.csv", _FRINGE_HEADER, _fringe_rows(scan, result))
     _write_json(outdir / f"{stem}_visibility.json",
@@ -246,8 +252,8 @@ def _cmd_demux(args, config: ScenarioConfig, outdir: Path) -> list[str]:
             ("before", True, args.duration_before),
             ("after", False, args.duration_after),
         ):
-            scan, result = _run_fringe(config, label, args.points, duration,
-                                       before, scan_name=f"demux-fringe:{label}:{kind}")
+            scan, result = _run_fringe(replace(config, active_label=label), args.points,
+                                       duration, before, scan_name=f"demux-fringe:{label}:{kind}")
             cells[pair.label][kind] = result
             table_json[pair.label][kind] = analysis.visibility_result_to_dict(result)
             stem = f"fringe_{label}_{kind}"
@@ -371,26 +377,24 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("plan", help="channel plan wavelengths (grid table)")
     common(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--pump", type=int, default=None)
-    p.add_argument("--offsets", type=str, default=None, help="comma-separated, e.g. 10,12,14")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("ring", help="microring transmission sweep")
     common(p)
-    p.add_argument("--span-fsr", type=float, default=8.0)
-    p.add_argument("--step-mhz", type=float, default=50.0)
+    p.add_argument("--span-fsr", type=_positive(float), default=8.0)
+    p.add_argument("--step-mhz", type=_positive(float), default=50.0)
     p.set_defaults(func=_cmd_ring)
 
     p = sub.add_parser("qpm", help="phase-matching tuning curves and channel pumps")
     common(p)
-    p.add_argument("--points", type=int, default=801)
+    p.add_argument("--points", type=_positive(int), default=801)
     p.add_argument("--temp-span", type=float, default=20.0)
     p.set_defaults(func=_cmd_qpm)
 
     p = sub.add_parser("sfg-eff", help="conversion efficiency vs pump power")
     common(p)
     p.add_argument("--max-mw", type=float, default=1000.0)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_positive(int), default=201)
     p.set_defaults(func=_cmd_sfg_eff)
 
     p = sub.add_parser("car", help="analytic CAR curve plus Monte Carlo checks")
@@ -398,14 +402,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--duration", type=float, default=20.0, help="per-run accumulation [s]")
     p.add_argument("--min-uw", type=float, default=10.0)
     p.add_argument("--max-uw", type=float, default=2000.0)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive(int), default=200)
     p.add_argument("--mc-powers", type=str, default="50,100,200,400,800")
     p.set_defaults(func=_cmd_car)
 
     p = sub.add_parser("fringe", help="two-photon fringe scan for one channel")
     common(p)
     p.add_argument("--duration", type=float, default=300.0, help="per-run accumulation [s]")
-    p.add_argument("--channel", type=str, default=None)
+    p.add_argument("--channel", type=str, default=None, help="sets run.active_channel")
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--before", action="store_true",
                    help="measure the source directly, without conversion")
@@ -444,12 +448,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg_dict = load_config_dict(args.config)
-        if args.seed is not None:
-            cfg_dict["run"]["seed"] = args.seed
-        if "duration" in args:
-            cfg_dict["run"]["duration_s"] = args.duration
-        digest = config_digest(cfg_dict)
+        flags = {"seed": args.seed, "duration_s": getattr(args, "duration", None),
+                 "active_channel": getattr(args, "channel", None)}
+        if isinstance(cfg_dict["run"], dict):  # build_config refuses any other run
+            cfg_dict["run"].update({k: v for k, v in flags.items() if v is not None})
         config = build_config(cfg_dict)
+        digest = config_digest(cfg_dict)
     except ConfigError as exc:
         source = args.config if args.config else "<baseline>"
         print(f"config error ({source}): {exc}", file=sys.stderr)

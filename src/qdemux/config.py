@@ -157,27 +157,22 @@ def baseline_dict() -> dict:
             "seed": 20260810,
             "chip_power_uw": 400.0,       # on-chip pump at the fringe measurements
             "active_channel": "S2",
-            "include_umis": True,
-            "simulate_all_channels": True,
-            "convert_signal": True,
         },
     }
 
 
-def _merge_strict(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {here!r}")
-        # sections merge key by key; other values, free maps too, are replaced
-        nested = isinstance(base[key], dict) and base[key] and isinstance(value, dict)
-        out[key] = _merge_strict(base[key], value, here) if nested else value
+        # sections merge key by key; other values, free maps and keys outside
+        # the baseline too, are replaced and left to ``_typed`` to check
+        nested = isinstance(base.get(key), dict) and base[key] and isinstance(value, dict)
+        out[key] = _merge(base[key], value) if nested else value
     return out
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a number",
-          str: "a string", list: "a list", dict: "an object"}
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+          dict: "an object"}
 
 
 def _expected(base) -> str:
@@ -199,7 +194,7 @@ def _typed(value, base, path: str):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         # the float the integer stands for, so 40 builds what 40.0 builds
         value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected {_expected(base)}, got {value!r}")
     if kind is list:
         return [_typed(v, base[0], f"{path}[{i}]") for i, v in enumerate(value)]
@@ -376,7 +371,7 @@ def load_config(path: str | Path | None) -> ScenarioConfig:
 
 
 def load_config_dict(path: str | Path | None) -> dict:
-    """Baseline dict merged with the file's overrides (strict keys)."""
+    """Baseline dict merged with the file's overrides; ``build_config`` checks it."""
     base = baseline_dict()
     if path is None:
         return base
@@ -389,7 +384,7 @@ def load_config_dict(path: str | Path | None) -> dict:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(override, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return _merge_strict(base, override)
+    return _merge(base, override)
 
 
 def config_digest(config_dict: dict) -> str:

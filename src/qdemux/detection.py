@@ -164,7 +164,7 @@ def apply_detector(stream: EventStream, spec: DetectorSpec,
     dead time after the previous event is always kept.  The result is
     time-sorted and deterministic for a fixed seed.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     t = stream.timestamps_ps
     duration_ps = stream.duration_ps
 

@@ -68,8 +68,8 @@ def test_unknown_or_missing_loss_group_names_field(entry):
      r"coincidence\.histogram_bin_ps: expected an integer, got 100\.7"),
     ({"coincidence": {"histogram_bin_ps": True}},
      r"coincidence\.histogram_bin_ps: expected an integer, got True"),
-    ({"run": {"include_umis": "no"}},
-     r"run\.include_umis: expected true or false, got 'no'"),
+    ({"run": {"include_umis": False}},
+     r"unknown config key 'run\.include_umis'"),
     ({"plan": {"offsets": "10"}},
      r"plan\.offsets: expected a list, got '10'"),
     ({"sfwm": {"enhancement": {"S2-I2": "big"}}},
@@ -94,6 +94,10 @@ def test_unknown_or_missing_loss_group_names_field(entry):
      r"^conversion\.p_pi_mw: must be positive, got -1\.0 mW"),
     ({"run": {"active_channel": "S9"}},
      r"^run\.active_channel: channel 'S9' not in plan \['S1', 'S2', 'S3'\]"),
+    ({"run": {"simulate_all_channels": False}},
+     r"unknown config key 'run\.simulate_all_channels'"),
+    ({"run": {"convert_signal": False}},
+     r"unknown config key 'run\.convert_signal'"),
 ])
 def test_malformed_override_names_path_and_expectation(tmp_path, override, message):
     path = tmp_path / "bad.json"
@@ -227,9 +231,37 @@ def test_unknown_flag_exits_1(capsys):
 @pytest.mark.parametrize("argv", [
     ["plan", "--duration", "5"],
     ["ring", "--format", "json"],
+    ["plan", "--pump", "30"],
+    ["plan", "--offsets", "10,12,14"],
 ])
 def test_flag_the_subcommand_ignores_exits_1(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "--step-mhz", "0"],
+    ["ring", "--step-mhz", "-50"],
+    ["ring", "--span-fsr", "-2"],
+    ["qpm", "--points", "0"],
+    ["sfg-eff", "--points", "0"],
+    ["car", "--points", "0"],
+])
+def test_sweep_flag_must_be_positive(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert f"argument {argv[1]}: must be positive, got {argv[2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fringe", "--points", "4", "--duration", "1"],
+    ["plan", "--seed", "3"],
+])
+def test_run_section_not_an_object_exits_1(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"run": 5}')
+    assert cli.main(argv + ["--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error ({bad}): run: expected an object, got 5" in capsys.readouterr().err
 
 
 def test_config_error_exits_1(tmp_path, capsys):
@@ -285,6 +317,29 @@ def test_subcommand_outputs_reproducible(tmp_path):
     m_b = json.loads((out_b / "manifest.json").read_text())
     m_a.pop("runtime_s"), m_b.pop("runtime_s")
     assert m_a == m_b
+
+
+def test_fringe_channel_flag_is_the_active_channel_key(tmp_path):
+    config = tmp_path / "s1.json"
+    config.write_text('{"run": {"active_channel": "S1"}}')
+    args = ["fringe", "--points", "4", "--duration", "1"]
+    for name, extra in (("flag", ["--channel", "S1"]), ("key", ["--config", str(config)]),
+                        ("plain", [])):
+        assert cli.main(args + extra + ["--out", str(tmp_path / name)]) == 0
+    for name in ("fringe_S1.csv", "fringe_S1_visibility.json"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
+    manifests = {name: json.loads((tmp_path / name / "manifest.json").read_text())
+                 for name in ("flag", "key", "plain")}
+    for manifest in manifests.values():
+        manifest.pop("runtime_s")
+    assert manifests["flag"] == manifests["key"]
+    assert manifests["flag"]["config_digest"] != manifests["plain"]["config_digest"]
+
+
+def test_fringe_unknown_channel_exits_1_naming_key(tmp_path, capsys):
+    argv = ["fringe", "--channel", "S9", "--points", "4", "--duration", "1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "run.active_channel: channel 'S9' not in plan" in capsys.readouterr().err
 
 
 def test_seed_changes_stochastic_output(tmp_path):

@@ -33,7 +33,7 @@ GOLDEN = {
         "car_mc.csv":
             "aa9f962b443c0f931ac9ad13f62564952777f09524b4549c54056b93a45b543b",
         "manifest.json":
-            "9634a79ff11dfe729407c1dfb41a923249806bb7aa21cf9eea852bd96b28d162",
+            "3d0aa75b7046c6c78628f7ed1d753b00ebb2c03458a2c0356fd400e3cb042d27",
     },
     "demux": {
         "crosstalk_matrix.csv":
@@ -51,21 +51,21 @@ GOLDEN = {
         "fringe_S3_before.csv":
             "987de7dafcd008d2863bac304cb8a4ec4a4f174eed90397f549e5ea32d8b09e8",
         "manifest.json":
-            "931364287696e81d2be2f7df70fe0a6f432663aaf9bade21b7b9998233aa6285",
+            "c6d05b8770fcd10870aaeaf206942b0740b197222ecc110ce89e1535c09fb364",
         "pump_solutions.json":
             "0076d8eed233ce4c6f15738014dccd800b19770883cb27c30dbaf7186f150b11",
         "tags_S1.csv":
             "59f06f5589758f451f415b64729e44a467bcfac67d24b400c37e6536bb67d082",
         "tags_S1.manifest.json":
-            "6fdbfb492f1ff026c9e8e039663fc14d9882879707d6a269865a1582c45aca61",
+            "2c1355c443489fb13b9867885499d5e8c418da60f30549f6198aed4b449de201",
         "tags_S2.csv":
             "11c0a666118bc173c36e87135200c1847bd2909da0989eed6bfbf7d6e408c884",
         "tags_S2.manifest.json":
-            "5a0abcd6615ffe6ac5b4f10d252deac8cd57938651d64c6c3d397de041ceaaaa",
+            "d548a5250135182a04385d9f4cc9a8805e1a0833aa1a1c4009cc114c567d3454",
         "tags_S3.csv":
             "957f2601b1ffa671b250d61e6b9641403ec259ca6057d8f990d1abb8c8042e0d",
         "tags_S3.manifest.json":
-            "79fb9781f414652b16461b000a05b8c5eaf575cc9df965cebba8dbc15560f83d",
+            "41bae808bef81e9b725c138d76d1ebfaffc6e4bc2d2a9d548f207bb841ca10e0",
         "visibility_table.json":
             "6729670ffaf6f581aa2735595832f186dd0ec54c79e64a300c2310881186b918",
         "visibility_table.txt":
@@ -77,17 +77,17 @@ GOLDEN = {
         "fringe_S2_visibility.json":
             "ad363fd15dd45589c1b8005bf24c19a4196db83d9da51687cdcd8fe5005f1806",
         "manifest.json":
-            "7f420a4d5ce52c21199cee60b215e330df02a354b2c803db5edbd0a323baee1e",
+            "9316db0f022efef2668c2cb925ede47330cffb86f037da10502c2d4e9830fde8",
     },
     "plan": {
         "manifest.json":
-            "71a40979db978e6b82eea37b94a7dcb9225a28424c440e632bb00e095b770bfb",
+            "9ebcb2c03b574aaa849ac4194f69cc07e737575f20dc4c79f73aaf1a309f7552",
         "plan.csv":
             "042e8338f54dd64e6b4c495770fa98d1e62b1bb250e3173b08e71167a160409b",
     },
     "qpm": {
         "manifest.json":
-            "efbd83c1379fa5fcb3c8de818ad58356c56fcbe066abfb0868c75caaca42176d",
+            "d3c59187c69aa68f728343d451358ae268329d1391d568709607a7639ea4f46b",
         "qpm_pump_tuning.csv":
             "1b8fe50005634d0bce4d938db33961aa233bd3492aa8ad76948e704db690f657",
         "qpm_solutions.json":
