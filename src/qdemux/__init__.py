@@ -13,6 +13,7 @@ from .analysis import (
     FringeScan,
     VisibilityResult,
     car_from_histogram,
+    car_from_windows,
     fit_visibility,
     visibility_minmax,
     visibility_report,

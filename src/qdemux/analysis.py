@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import CoincidenceHistogram
+from .events import CoincidenceHistogram, WindowCounts, central_window_counts
 
 BELL_VISIBILITY_BOUND = 1.0 / np.sqrt(2.0)
 
@@ -182,46 +182,36 @@ class CarEstimate:
     lower_bound: bool
 
 
-def car_from_histogram(h: CoincidenceHistogram, window_ns: float,
-                       background_start_ns: float | None = None) -> CarEstimate:
-    """CAR = central-window counts over the far background per equal window.
+def car_from_windows(win: WindowCounts) -> CarEstimate:
+    """CAR = central-window counts over the background per equal window.
 
-    The background region starts at ``background_start_ns`` (default:
-    half the histogram span) so the true-coincidence tails stay out of
-    it.  With zero background counts the result is a flagged lower bound
+    With zero background counts the result is a flagged lower bound
     computed against one background count.
     """
-    window_ps = window_ns * 1000.0
-    span_ps = h.span_ps
-    if background_start_ns is None:
-        background_start_ns = span_ps / 2000.0
-    bg_start_ps = background_start_ns * 1000.0
-    if bg_start_ps <= window_ps / 2.0 or bg_start_ps >= span_ps:
-        raise ValueError(
-            f"background region start {background_start_ns} ns must lie between "
-            f"the window edge and the span"
-        )
-    c = h.centers_ps.astype(float)
-    in_center = np.abs(c) <= window_ps / 2.0
-    in_bg = np.abs(c) >= bg_start_ps
-    if not in_bg.any():
-        raise ValueError("empty background region")
-    center = int(h.counts[in_center].sum())
-    bg_raw = int(h.counts[in_bg].sum())
-    scale = in_center.sum() / in_bg.sum()
-    if bg_raw == 0:
+    if win.background_raw == 0:
         return CarEstimate(
-            car=center / scale if center else 0.0,
+            car=win.center / win.background_scale,
             sigma=float("inf"),
-            center_counts=center,
+            center_counts=win.center,
             background_per_window=0.0,
             lower_bound=True,
         )
-    bg = bg_raw * scale
-    car = center / bg
-    sigma = car * np.sqrt(1.0 / max(center, 1) + 1.0 / bg_raw)
-    return CarEstimate(car=float(car), sigma=float(sigma), center_counts=center,
+    bg = win.background_per_window
+    car = win.center / bg
+    sigma = car * np.sqrt(1.0 / max(win.center, 1) + 1.0 / win.background_raw)
+    return CarEstimate(car=float(car), sigma=float(sigma), center_counts=win.center,
                        background_per_window=float(bg), lower_bound=False)
+
+
+def car_from_histogram(h: CoincidenceHistogram, window_ns: float,
+                       background_start_ns: float | None = None) -> CarEstimate:
+    """``car_from_windows`` of ``central_window_counts(h, window_ns)``.
+
+    The window and background region, and what they refuse, are
+    ``central_window_counts``' with its default side-peak delay.
+    """
+    return car_from_windows(
+        central_window_counts(h, window_ns, background_start_ns=background_start_ns))
 
 
 # ---------------------------------------------------------------------------

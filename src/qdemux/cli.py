@@ -46,13 +46,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive(kind):
-    """An argparse ``type``: a ``kind`` (int or float) that is finite and above zero."""
-    def parse(text: str):
+def _positive(kind, floor=0, sep=None):
+    """An argparse ``type``: a ``kind`` (int or float) that is finite, above zero
+    and at least ``floor``; with ``sep``, a list of them joined by ``sep``."""
+    def one(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (0 < value < math.inf and value >= floor):
+            raise argparse.ArgumentTypeError(
+                f"must be at least {floor}, got {text}" if floor else
+                f"must be positive, got {text}")
         return value
+
+    def parse(text: str):
+        return [one(item) for item in text.split(sep)] if sep else one(text)
     parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names it
     return parse
 
@@ -177,15 +183,15 @@ def _cmd_car(args, config: ScenarioConfig, outdir: Path) -> list[str]:
     rows = [[f"{p:.2f}", f"{c:.6f}"] for p, c in zip(powers, car)]
     _write_csv(outdir / "car_analytic.csv", ["pump_uw", "car"], rows)
 
-    mc_powers = [float(x) for x in args.mc_powers.split(",") if x]
     rows = []
-    for p in mc_powers:
+    for p in args.mc_powers:
         cfg = replace(config, chip_power_uw=p, include_umis=False,
                       simulate_all_channels=False, duration_s=args.duration,
                       seed=sub_seed(config.seed, "car-mc", f"{p}"))
         run = generate_run(cfg, op)
         hist = histogram(run.signal_stream, run.active_idler_stream, cfg.coincidence)
-        est = analysis.car_from_histogram(hist, window)
+        # no interferometers, so no side peaks: the background starts at half the span
+        est = analysis.car_from_histogram(hist, window, background_start_ns=hist.span_ps / 2000.0)
         rows.append([f"{p:.2f}", f"{est.car:.6f}", f"{est.sigma:.6f}",
                      f"{est.center_counts}", f"{est.background_per_window:.3f}"])
     _write_csv(outdir / "car_mc.csv",
@@ -343,7 +349,7 @@ def _cmd_analyze(args, config: ScenarioConfig, outdir: Path) -> list[str]:
 
     window = config.coincidence.window_ns
     win = central_window_counts(hist, window, side_delay_ns=config.signal_umi.delay_ns)
-    est = analysis.car_from_histogram(hist, window)
+    est = analysis.car_from_windows(win)
     stats = {
         "labels": [label_a, label_b],
         "total_pairs_examined": hist.total_pairs_examined,
@@ -388,29 +394,29 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("qpm", help="phase-matching tuning curves and channel pumps")
     common(p)
     p.add_argument("--points", type=_positive(int), default=801)
-    p.add_argument("--temp-span", type=float, default=20.0)
+    p.add_argument("--temp-span", type=_positive(float), default=20.0)
     p.set_defaults(func=_cmd_qpm)
 
     p = sub.add_parser("sfg-eff", help="conversion efficiency vs pump power")
     common(p)
-    p.add_argument("--max-mw", type=float, default=1000.0)
+    p.add_argument("--max-mw", type=_positive(float), default=1000.0)
     p.add_argument("--points", type=_positive(int), default=201)
     p.set_defaults(func=_cmd_sfg_eff)
 
     p = sub.add_parser("car", help="analytic CAR curve plus Monte Carlo checks")
     common(p)
     p.add_argument("--duration", type=float, default=20.0, help="per-run accumulation [s]")
-    p.add_argument("--min-uw", type=float, default=10.0)
-    p.add_argument("--max-uw", type=float, default=2000.0)
+    p.add_argument("--min-uw", type=_positive(float), default=10.0)
+    p.add_argument("--max-uw", type=_positive(float), default=2000.0)
     p.add_argument("--points", type=_positive(int), default=200)
-    p.add_argument("--mc-powers", type=str, default="50,100,200,400,800")
+    p.add_argument("--mc-powers", type=_positive(float, sep=","), default="50,100,200,400,800")
     p.set_defaults(func=_cmd_car)
 
     p = sub.add_parser("fringe", help="two-photon fringe scan for one channel")
     common(p)
     p.add_argument("--duration", type=float, default=300.0, help="per-run accumulation [s]")
     p.add_argument("--channel", type=str, default=None, help="sets run.active_channel")
-    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--points", type=_positive(int, floor=4), default=8)
     p.add_argument("--before", action="store_true",
                    help="measure the source directly, without conversion")
     p.set_defaults(func=_cmd_fringe)
@@ -418,9 +424,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("demux", help="three-channel end-to-end report")
     common(p)
     p.add_argument("--duration", type=float, default=60.0, help="per-run accumulation [s]")
-    p.add_argument("--points", type=int, default=8)
-    p.add_argument("--duration-before", type=float, default=30.0)
-    p.add_argument("--duration-after", type=float, default=300.0)
+    p.add_argument("--points", type=_positive(int, floor=4), default=8)
+    p.add_argument("--duration-before", type=_positive(float), default=30.0)
+    p.add_argument("--duration-after", type=_positive(float), default=300.0)
     p.add_argument("--emit-tags", action="store_true")
     p.set_defaults(func=_cmd_demux)
 

@@ -108,8 +108,6 @@ class CoincidenceHistogram:
     centers_ps: np.ndarray
     counts: np.ndarray
     total_pairs_examined: int
-    label_a: str = ""
-    label_b: str = ""
 
     def __post_init__(self) -> None:
         if np.any(np.asarray(self.counts) < 0):
@@ -164,8 +162,6 @@ def histogram(a: EventStream, b: EventStream, cfg: CoincidenceConfig) -> Coincid
         centers_ps=centers,
         counts=counts.astype(np.int64),
         total_pairs_examined=total,
-        label_a=a.label,
-        label_b=b.label,
     )
 
 
@@ -175,7 +171,8 @@ class WindowCounts:
 
     ``background_per_window`` is the far-background count rescaled to the
     same number of bins as the central window, so center, sidebands and
-    background are directly comparable.
+    background are directly comparable.  Only ``central_window_counts``
+    makes these, and it guarantees a nonempty background region.
     """
 
     center: int
@@ -186,18 +183,23 @@ class WindowCounts:
     window_bins: int
 
     @property
+    def background_scale(self) -> float:
+        """Central-window bins per background bin."""
+        return self.window_bins / self.background_bins
+
+    @property
     def background_per_window(self) -> float:
-        if self.background_bins == 0:
-            return float("nan")
         return self.background_raw * self.window_bins / self.background_bins
 
     @property
     def background_sigma_per_window(self) -> float:
         """Poisson error of the rescaled background (floor of one count)."""
-        if self.background_bins == 0:
-            return float("nan")
-        scale = self.window_bins / self.background_bins
-        return float(np.sqrt(max(self.background_raw, 1)) * scale)
+        return float(np.sqrt(max(self.background_raw, 1)) * self.background_scale)
+
+    @property
+    def sigma(self) -> float:
+        """Poisson error of center minus background (floor of one center count)."""
+        return float(np.sqrt(max(self.center, 1) + self.background_sigma_per_window**2))
 
 
 def central_window_counts(h: CoincidenceHistogram, window_ns: float,
@@ -205,9 +207,14 @@ def central_window_counts(h: CoincidenceHistogram, window_ns: float,
                           background_start_ns: float | None = None) -> WindowCounts:
     """Integrate the central peak, both side peaks, and the far background.
 
-    The background region excludes all three peaks; its count is reported
-    rescaled per central-window width.  Rejects windows wide enough to
-    overlap the side peaks, and windows larger than a quarter span.
+    The only reader of a histogram's windows: every CAR, crosstalk cell
+    and fringe point is read from its result.  The background region is
+    every bin at least ``background_start_ns`` from zero delay, by default
+    two windows past the outer edge of the side peaks, so that their tails
+    stay out of it; its count is reported rescaled per central-window
+    width.  Rejects windows wide enough to overlap the side peaks, windows
+    larger than a quarter span, and a background start at or inside the
+    central window's edge or at or past the last bin centre.
     """
     window_ps = window_ns * 1000.0
     side_ps = side_delay_ns * 1000.0
@@ -224,9 +231,10 @@ def central_window_counts(h: CoincidenceHistogram, window_ns: float,
     if background_start_ns is None:
         background_start_ns = side_delay_ns + window_ns / 2.0 + 2.0 * window_ns
     bg_start_ps = background_start_ns * 1000.0
-    if bg_start_ps >= span_ps:
+    if not window_ps / 2.0 < bg_start_ps < span_ps:
         raise ValueError(
-            f"background region start {background_start_ns} ns outside the span"
+            f"background region start {background_start_ns} ns must lie between the "
+            f"central window edge {window_ns / 2.0} ns and the span {span_ps / 1000.0} ns"
         )
 
     c = h.centers_ps.astype(float)

@@ -24,6 +24,7 @@ from .detection import DetectionArm, DetectorSpec, LossLedger, apply_detector
 from .events import (
     CoincidenceConfig,
     EventStream,
+    WindowCounts,
     central_window_counts,
     histogram,
 )
@@ -344,8 +345,7 @@ def fringe_scan(config: ScenarioConfig, phases_rad: np.ndarray,
     n_pts = len(points_raw)
     points = []
     for phi, win in points_raw:
-        scale = win.window_bins / win.background_bins if win.background_bins else 0.0
-        pooled_bg = total_bg * scale / n_pts
+        pooled_bg = total_bg * win.background_scale / n_pts
         temperature = config.signal_umi.reference_temperature_k + phi / (2.0 * np.pi) * period
         points.append(analysis.FringePoint(
             phase_rad=phi,
@@ -357,25 +357,17 @@ def fringe_scan(config: ScenarioConfig, phases_rad: np.ndarray,
     return analysis.FringeScan(points=tuple(points))
 
 
-@dataclass(frozen=True)
-class CrosstalkCell:
-    """Central-window outcome for one (addressed-channel, idler-channel) pairing."""
-
-    center: int
-    background_per_window: float
-    sigma: float
-
-
 def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> dict:
     """Address each channel in turn and coincide the converted stream with every idler.
 
-    Returns the crosstalk matrix, the solved pump wavelengths and the
-    runs themselves, one per addressed channel.  Matched entries should
+    Returns the crosstalk matrix (addressed signal label -> idler label ->
+    ``WindowCounts``), the solved pump wavelengths and the runs
+    themselves, one per addressed channel.  Matched entries should
     tower over the accidental floor; mismatched entries should sit on
     it, suppressed by the conversion acceptance.
     """
     duration = duration_s if duration_s is not None else config.duration_s
-    matrix: dict[str, dict[str, CrosstalkCell]] = {}
+    matrix: dict[str, dict[str, WindowCounts]] = {}
     pumps: dict[str, float] = {}
     runs: dict[str, RunResult] = {}
     for pair in config.plan:
@@ -389,17 +381,14 @@ def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> 
         )
         run = runs[pair.signal_label] = generate_run(cfg)
         pumps[pair.signal_label] = float(run.op.pump_nm)
-        row: dict[str, CrosstalkCell] = {}
+        row: dict[str, WindowCounts] = {}
         for other in config.plan:
             hist = histogram(
                 run.signal_stream, run.idler_streams[other.idler_label], config.coincidence
             )
-            win = central_window_counts(
+            row[other.idler_label] = central_window_counts(
                 hist, config.coincidence.window_ns,
                 side_delay_ns=config.signal_umi.delay_ns,
             )
-            bg = win.background_per_window
-            sigma = float(np.sqrt(max(win.center, 1) + win.background_sigma_per_window**2))
-            row[other.idler_label] = CrosstalkCell(win.center, bg, sigma)
         matrix[pair.signal_label] = row
     return {"matrix": matrix, "pump_nm": pumps, "runs": runs}

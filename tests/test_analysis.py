@@ -12,7 +12,13 @@ from qdemux.analysis import (
     visibility_minmax,
     visibility_report,
 )
-from qdemux.events import CoincidenceConfig, EventStream, histogram
+from qdemux.events import (
+    CoincidenceConfig,
+    CoincidenceHistogram,
+    EventStream,
+    central_window_counts,
+    histogram,
+)
 
 
 def synthetic_scan(v, phi0=0.0, amplitude=1000.0, n_points=12, background=0.0):
@@ -165,6 +171,25 @@ def test_noiseless_pair_run_gives_flagged_lower_bound():
     assert est.lower_bound
     assert est.background_per_window == 0.0
     assert est.center_counts == len(t)
+
+
+def test_car_background_excludes_side_peak_tails():
+    # Franson side peaks at +-1.6 ns with 250 ps exponential tails: at 2.5 ns
+    # they still add ~27 counts a bin, past 3.6 ns under one count in all
+    rng = np.random.default_rng(31)
+    centers = np.arange(-50, 51, dtype=np.int64) * 100
+    floor_per_bin = 5.0
+    mean = floor_per_bin + 4000.0 * np.exp(-np.abs(centers) / 250.0)
+    for side in (-1600, 1600):
+        mean += 1000.0 * np.exp(-np.abs(centers - side) / 250.0)
+    h = CoincidenceHistogram(bin_width_ps=100, centers_ps=centers,
+                             counts=rng.poisson(mean), total_pairs_examined=0)
+    est = car_from_histogram(h, 0.8)
+    win = central_window_counts(h, 0.8)
+    assert est.background_per_window == win.background_per_window
+    assert est.car == win.center / win.background_per_window
+    floor = floor_per_bin * win.window_bins
+    assert abs(est.background_per_window - floor) <= 3.0 * win.background_sigma_per_window
 
 
 def test_car_background_region_validation():

@@ -245,11 +245,34 @@ def test_flag_the_subcommand_ignores_exits_1(tmp_path, capsys, argv):
     ["qpm", "--points", "0"],
     ["sfg-eff", "--points", "0"],
     ["car", "--points", "0"],
+    ["car", "--mc-powers", "-5"],
+    ["car", "--mc-powers", "0"],
+    ["car", "--min-uw", "-5"],
+    ["car", "--max-uw", "nan"],
+    ["sfg-eff", "--max-mw", "-5"],
+    ["qpm", "--temp-span", "inf"],
+    ["demux", "--duration-before", "0"],
+    ["demux", "--duration-after", "-1"],
 ])
 def test_sweep_flag_must_be_positive(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 1
     assert f"argument {argv[1]}: must be positive, got {argv[2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["car", "--mc-powers", ","], "invalid float value: ','"),
+    (["car", "--mc-powers", ""], "invalid float value: ''"),
+    (["car", "--mc-powers", "50,abc"], "invalid float value: '50,abc'"),
+    (["car", "--mc-powers", "50,-5"], "must be positive, got -5"),
+    (["fringe", "--points", "3"], "must be at least 4, got 3"),
+    (["demux", "--points", "3"], "must be at least 4, got 3"),
+])
+def test_numeric_flag_refused_when_parsed_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert f"argument {argv[1]}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -381,3 +404,24 @@ def test_analyze_matches_in_memory_pipeline(tmp_path):
     counts_file = np.array([int(r.split(",")[1]) for r in rows])
     assert np.array_equal(counts_file, h_mem.counts)
     assert stats["total_pairs_examined"] == h_mem.total_pairs_examined
+
+
+@pytest.mark.parametrize("delay_ns", [1.6, 2.0])
+def test_analyze_car_is_center_over_its_background(tmp_path, delay_ns):
+    # darks raise the accidental floor so that a 3 s run has background counts
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "umis": {"signal": {"delay_ns": delay_ns}, "idler": {"delay_ns": delay_ns}},
+        "detectors": {"apd1": {"dark_rate_hz": 4e4}, "apd2": {"dark_rate_hz": 4e4}},
+    }))
+    out = tmp_path / "demux"
+    assert cli.main([
+        "demux", "--config", str(config), "--out", str(out), "--points", "4",
+        "--duration", "3", "--duration-before", "1", "--duration-after", "1", "--emit-tags",
+    ]) == 0
+    analyze_out = tmp_path / "analyze"
+    assert cli.main(["analyze", "--config", str(config), "--tags", str(out / "tags_S2.csv"),
+                     "--a", "S2'", "--b", "I2", "--out", str(analyze_out)]) == 0
+    stats = json.loads((analyze_out / "stats.json").read_text())
+    assert not stats["car_lower_bound"]
+    assert stats["car"] == stats["center_counts"] / stats["background_per_window"]

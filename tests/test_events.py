@@ -129,6 +129,14 @@ def test_window_must_fit_quarter_span():
         central_window_counts(h, 2.0, side_delay_ns=2.2)
 
 
+@pytest.mark.parametrize("start_ns", [0.1, 0.4, 5.0, 6.0])
+def test_background_start_outside_window_edge_and_span_rejected(start_ns):
+    a = _poisson_stream("a", 10_000.0, 0.1, seed=10)
+    h = histogram(a, a, CFG)
+    with pytest.raises(ValueError, match="background region"):
+        central_window_counts(h, 0.8, background_start_ns=start_ns)
+
+
 # --- tag-file I/O ---
 
 
