@@ -25,14 +25,11 @@ class FringePoint:
     phase_rad: float
     center_counts: float
     background_counts: float = 0.0
-    accumulation_s: float = 1.0
     temperature_k: float | None = None
 
     def __post_init__(self) -> None:
         if self.center_counts < 0 or self.background_counts < 0:
             raise ValueError("counts must be nonnegative")
-        if self.accumulation_s <= 0:
-            raise ValueError("accumulation must be positive")
 
 
 @dataclass(frozen=True)

@@ -375,7 +375,12 @@ def load_config_dict(path: str | Path | None) -> dict:
     base = baseline_dict()
     if path is None:
         return base
-    text = Path(path).read_text().strip()
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if not text:
         return base
     try:

@@ -1,14 +1,19 @@
 """End-to-end Monte Carlo of the demultiplexer: source to timestamps.
 
 A run is a pure function of (scenario, seed).  Pair arrivals are
-homogeneous Poisson; each photon then survives a chain of Bernoulli
-stages (passive losses, frequency conversion with its acceptance factor,
-interferometer routing, detector efficiency), picks up timing jitter,
-and is finally merged with dark counts and pruned for dead time.
+homogeneous Poisson, the idler trailing its signal by a truncated-Laplace
+delay; each arm's unpaired photons (broken pairs and linear noise) are
+one uniform Poisson population.  Each photon survives a chain of
+Bernoulli stages (passive losses, frequency conversion with its
+acceptance factor, interferometer routing, detector efficiency), picks
+up timing jitter, and is finally merged with dark counts and pruned for
+dead time.
 
 Randomness discipline: every stage draws from its own generator, seeded
 by hashing (master seed, stage name, channel label), so adding a stage
-or changing one noise source never perturbs the other streams.
+or changing one noise source never perturbs the other streams.  Each
+channel draws from ``pairs``, ``pair-jitter``, ``umi`` and ``raman``,
+each detected stream from its own ``detector``.
 """
 
 from __future__ import annotations
@@ -189,15 +194,18 @@ class RunResult:
         return self.idler_streams[self.active_idler_label]
 
 
-def _truncated_laplace(rng: np.random.Generator, scale: float, n: int,
-                       bound_scales: float = 5.0) -> np.ndarray:
-    """Double-exponential samples truncated at +-bound_scales * scale."""
-    x = rng.laplace(0.0, scale, n)
-    bad = np.abs(x) > bound_scales * scale
-    while bad.any():
-        x[bad] = rng.laplace(0.0, scale, int(bad.sum()))
-        bad = np.abs(x) > bound_scales * scale
-    return x
+# pair delays beyond this many correlation times are cut from the Laplace law
+JITTER_BOUND_SCALES = 5.0
+
+
+def _truncated_laplace(rng: np.random.Generator, scale: float, n: int) -> np.ndarray:
+    """Double-exponential samples truncated at +-JITTER_BOUND_SCALES * scale.
+
+    One inverse-CDF draw per sample: ``v ~ U(-1, 1)`` gives the sign and
+    |x| = -scale * log(1 - |v| (1 - exp(-JITTER_BOUND_SCALES))).
+    """
+    v = rng.uniform(-1.0, 1.0, n)
+    return np.copysign(-scale * np.log1p(np.abs(v) * np.expm1(-JITTER_BOUND_SCALES)), v)
 
 
 def _route_single(t: np.ndarray, rng: np.random.Generator, delay_ps: float,
@@ -246,6 +254,7 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
         rng_pairs = sub_rng(master, "pairs", label)
         rng_jit = sub_rng(master, "pair-jitter", label)
         rng_umi = sub_rng(master, "umi", label)
+        rng_raman = sub_rng(master, "raman", label)
 
         n_total = generated_pairs[label] = int(rng_pairs.poisson(rate * config.duration_s))
         p_both = p_sig * p_idl
@@ -254,41 +263,26 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
         n_both, n_sonly, n_ionly, _ = rng_pairs.multinomial(
             n_total, [p_both, p_sonly, p_ionly, 1.0 - p_both - p_sonly - p_ionly]
         )
+        # each arm's unpaired photons, broken pairs plus linear-noise photons on
+        # the same survival chain, are one uniform Poisson population
+        raman_s = config.rates.raman_signal * config.chip_power_uw * p_sig
+        raman_i = config.rates.raman_idler * config.chip_power_uw * p_idl
+        n_lone_s = n_sonly + int(rng_raman.poisson(raman_s * config.duration_s))
+        n_lone_i = n_ionly + int(rng_raman.poisson(raman_i * config.duration_s))
 
-        t_both = rng_pairs.uniform(0.0, duration_ps, n_both)
-        jit_both = _truncated_laplace(rng_jit, tau_ps, n_both)
-        t_sonly = rng_pairs.uniform(0.0, duration_ps, n_sonly)
-        t_ionly = rng_pairs.uniform(0.0, duration_ps, n_ionly)
-        jit_ionly = _truncated_laplace(rng_jit, tau_ps, n_ionly)
+        t_sig = rng_pairs.uniform(0.0, duration_ps, n_both)
+        t_lone_s = rng_pairs.uniform(0.0, duration_ps, n_lone_s)
+        t_lone_i = rng_pairs.uniform(0.0, duration_ps, n_lone_i)
+        t_idl = t_sig + _truncated_laplace(rng_jit, tau_ps, n_both)
 
         if config.include_umis:
             paths = sample_pair_paths(config.fringe, n_both, rng_umi)
-            shift_s = np.where(paths.signal_long, delay_ps, 0.0)
-            shift_i = np.where(paths.idler_long, delay_ps, 0.0)
-            sig_ch = [(t_both + shift_s)[paths.signal_alive]]
-            idl_ch = [(t_both + jit_both + shift_i)[paths.idler_alive]]
-        else:
-            sig_ch = [t_both]
-            idl_ch = [t_both + jit_both]
-        sig_ch.append(_route_single(t_sonly, rng_umi, delay_ps, config.include_umis))
-        idl_ch.append(_route_single(t_ionly + jit_ionly, rng_umi, delay_ps, config.include_umis))
-
-        # spurious linear-noise photons share each arm's survival chain
-        rng_ram_s = sub_rng(master, "raman-signal", label)
-        rng_ram_i = sub_rng(master, "raman-idler", label)
-        raman_sig_rate = config.rates.raman_signal * config.chip_power_uw * p_sig
-        raman_idl_rate = config.rates.raman_idler * config.chip_power_uw * p_idl
-        n_rs = int(rng_ram_s.poisson(raman_sig_rate * config.duration_s))
-        n_ri = int(rng_ram_i.poisson(raman_idl_rate * config.duration_s))
-        t_rs = rng_ram_s.uniform(0.0, duration_ps, n_rs)
-        t_ri = rng_ram_i.uniform(0.0, duration_ps, n_ri)
-        sig_ch.append(_route_single(t_rs, rng_ram_s, delay_ps, config.include_umis))
-        idl_ch.append(_route_single(t_ri, rng_ram_i, delay_ps, config.include_umis))
-
+            t_sig = (t_sig + np.where(paths.signal_long, delay_ps, 0.0))[paths.signal_alive]
+            t_idl = (t_idl + np.where(paths.idler_long, delay_ps, 0.0))[paths.idler_alive]
         # a channel not routed to the signal detector has p_sig = 0: no signal photons
-        sig_parts.extend(sig_ch)
-
-        idler_streams[pair.idler_label] = detect(pair.idler_label, idl_ch, config.apd1)
+        sig_parts += [t_sig, _route_single(t_lone_s, rng_umi, delay_ps, config.include_umis)]
+        idl_parts = [t_idl, _route_single(t_lone_i, rng_umi, delay_ps, config.include_umis)]
+        idler_streams[pair.idler_label] = detect(pair.idler_label, idl_parts, config.apd1)
 
     signal_stream = detect(config.signal_stream_label, sig_parts, config.signal_detector())
     return RunResult(signal_stream, idler_streams, active.idler_label, op, generated_pairs)
@@ -351,7 +345,6 @@ def fringe_scan(config: ScenarioConfig, phases_rad: np.ndarray,
             phase_rad=phi,
             center_counts=win.center,
             background_counts=pooled_bg,
-            accumulation_s=accumulation_s,
             temperature_k=temperature,
         ))
     return analysis.FringeScan(points=tuple(points))

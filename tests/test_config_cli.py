@@ -294,6 +294,18 @@ def test_config_error_exits_1(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make, cause", [
+    (lambda path: None, "cannot read: No such file or directory"),
+    (lambda path: path.mkdir(), "cannot read: Is a directory"),
+    (lambda path: path.write_bytes(b'{"run": "\xff"}'), "not UTF-8 text: invalid start byte"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_exits_1_naming_it(tmp_path, capsys, make, cause):
+    bad = tmp_path / "bad.json"
+    make(bad)
+    assert cli.main(["plan", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error ({bad}): {bad}: {cause}" in capsys.readouterr().err
+
+
 def test_runtime_error_exits_2(tmp_path, capsys):
     assert cli.main(["analyze", "--tags", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "out")]) == 2

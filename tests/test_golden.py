@@ -31,51 +31,51 @@ GOLDEN = {
         "car_analytic.csv":
             "05068b7a6b6f9dccdf2fb8d222ed1a64fa4d8c7291eb1331f8c992a7aea211c6",
         "car_mc.csv":
-            "aa9f962b443c0f931ac9ad13f62564952777f09524b4549c54056b93a45b543b",
+            "155594ee48ef43c4a6f74d716a7930e248f27ae71bc9a33155f584a4c8eaa731",
         "manifest.json":
             "3d0aa75b7046c6c78628f7ed1d753b00ebb2c03458a2c0356fd400e3cb042d27",
     },
     "demux": {
         "crosstalk_matrix.csv":
-            "f914dc22c5fab6675801783a8258770096debeab01998288933477ec2d8e4bf3",
+            "6c36ce842caf0e564707e72cd99a380846161baa66601b587c5cf72a178ac162",
         "fringe_S1_after.csv":
-            "94e43e420fcf076b931e4b77ba6ded32d0b62f87d435018da54ca75508aff044",
+            "0b097ce47deb2bdf0368ff8509062a2dcefd53f1edfabf01a44c1a17d4cb4474",
         "fringe_S1_before.csv":
-            "5fca9de8cfaccdea9be9dd245f06f7aeec3c01aa28b50b4de293ae46d0aa3ee7",
+            "67b38d553afadcbd8139765a6b021b3ff832b9eba19c5ed6530c091d206604ac",
         "fringe_S2_after.csv":
-            "f9112f52b1a1f2ad3ac765871b26475c7180570106158227390b0a1db42b732c",
+            "d8207495a88cae6c6ed60a5e18da291836acbd428f25fe2b64780fa8f2f5a1b8",
         "fringe_S2_before.csv":
-            "3acafa0455ffb99934490f417a0339b641b86c94e6c044f4f7bb10f98cdd2f99",
+            "261d1a5092400a46d598414c6474c33a29f8558cc55b77ec9a1e9ec2fa18ac71",
         "fringe_S3_after.csv":
-            "793d657700fc265c11cf4a7f22ac2962a9968e34e32a307d8648641dfc704e11",
+            "bf547bade8c4b48fd73bbf4590bd37f7810d647f987019fa89cb8dbb3abb532d",
         "fringe_S3_before.csv":
-            "987de7dafcd008d2863bac304cb8a4ec4a4f174eed90397f549e5ea32d8b09e8",
+            "df86c7f19b43aa345aa19c51fe70ac1e61c7d51e00972cd7eca3292a6f9308df",
         "manifest.json":
             "c6d05b8770fcd10870aaeaf206942b0740b197222ecc110ce89e1535c09fb364",
         "pump_solutions.json":
             "0076d8eed233ce4c6f15738014dccd800b19770883cb27c30dbaf7186f150b11",
         "tags_S1.csv":
-            "59f06f5589758f451f415b64729e44a467bcfac67d24b400c37e6536bb67d082",
+            "15b2b580bd10158aa2ecc13ba3eb0937c8048430162f8ea968d2371ac6d91001",
         "tags_S1.manifest.json":
             "2c1355c443489fb13b9867885499d5e8c418da60f30549f6198aed4b449de201",
         "tags_S2.csv":
-            "11c0a666118bc173c36e87135200c1847bd2909da0989eed6bfbf7d6e408c884",
+            "1498e58866d0fc474c4ef97ab34553cc939e3dd70a684e66446b5224658f2e9e",
         "tags_S2.manifest.json":
             "d548a5250135182a04385d9f4cc9a8805e1a0833aa1a1c4009cc114c567d3454",
         "tags_S3.csv":
-            "957f2601b1ffa671b250d61e6b9641403ec259ca6057d8f990d1abb8c8042e0d",
+            "89dcbb29c32b1b6ffd830eac7806ecf24da78415a138dbf645e82744f0c05298",
         "tags_S3.manifest.json":
             "41bae808bef81e9b725c138d76d1ebfaffc6e4bc2d2a9d548f207bb841ca10e0",
         "visibility_table.json":
-            "6729670ffaf6f581aa2735595832f186dd0ec54c79e64a300c2310881186b918",
+            "95ef3251750f273a87bf9f63b3796fb7e9cd47171545b4db278e420dadb99b2c",
         "visibility_table.txt":
-            "b84a815fc24c02353a20c7176efe25da388a695cf6f24cde9caf84aabd71a284",
+            "c849d2067a9b59d1a80de69e2107c5f05216ad9a31ec9c81d21e682d0e500762",
     },
     "fringe": {
         "fringe_S2.csv":
-            "14b37edf440dbc4658e7dc37c0fb42c73bc1bf2c5e3aff40c58c90da9265e74f",
+            "9216f6977294b781008f5fcc6377433de937bc9fc5dbe300e68a111593f3bca1",
         "fringe_S2_visibility.json":
-            "ad363fd15dd45589c1b8005bf24c19a4196db83d9da51687cdcd8fe5005f1806",
+            "b8c7b991e2b351b64d8aa37c254afa96b271a2083b1117332d4283ef9e41ab01",
         "manifest.json":
             "9316db0f022efef2668c2cb925ede47330cffb86f037da10502c2d4e9830fde8",
     },

@@ -2,14 +2,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qdemux.channel_plan import build_plan
 from qdemux.config import load_config
 from qdemux.detection import DetectorSpec, LossLedger
 from qdemux.events import CoincidenceConfig, central_window_counts, histogram
 from qdemux.franson import FringeModel, UmiSpec
-from qdemux.montecarlo import ScenarioConfig, fringe_scan, generate_run, sub_seed
-from qdemux.ring_source import RingSpectrumModel, SfwmRates, pair_rate
+from qdemux.montecarlo import (
+    ScenarioConfig,
+    _truncated_laplace,
+    detection_arms,
+    fringe_scan,
+    generate_run,
+    operating_point,
+    sub_seed,
+)
+from qdemux.ring_source import RingSpectrumModel, SfwmRates, singles_rate
 from qdemux.sfg import SELLMEIER_SETS, ConversionCurve, CrystalSpec, PumpLaser
 
 
@@ -157,17 +166,61 @@ def default_config():
     return load_config(None)
 
 
+def _expected_singles_hz(cfg):
+    """Detected singles rate of every stream from the analytic chain.
+
+    ``singles_rate`` at the ``detection_arms`` efficiencies (each
+    neighbour's signal scaled by its conversion acceptance), the photon
+    term halved by an interferometer, darks added, then the
+    non-paralyzable dead-time law N / (1 + N tau).
+    """
+    op = operating_point(cfg)
+    arm_sig, arm_idl = detection_arms(cfg, op)
+    share = 0.5 if cfg.include_umis else 1.0
+
+    def detected(photons_hz, det):
+        n = share * photons_hz + det.dark_rate_hz
+        return n / (1.0 + n * det.dead_time_us * 1e-6)
+
+    per_acceptance = arm_sig.efficiency() / op.acceptance[cfg.active_pair.label]
+    signal = sum(singles_rate(cfg.rates, cfg.chip_power_uw, "signal",
+                              per_acceptance * op.acceptance[p.label], 0.0, p.label)
+                 for p in cfg.plan)
+    rates = {cfg.signal_stream_label: detected(signal, arm_sig.detector)}
+    for p in cfg.plan:
+        idler = singles_rate(cfg.rates, cfg.chip_power_uw, "idler",
+                             arm_idl.efficiency(), 0.0, p.label)
+        rates[p.idler_label] = detected(idler, arm_idl.detector)
+    return rates
+
+
 def test_default_scenario_singles_rates_match_analytic_chain(default_config):
-    cfg = replace(default_config, duration_s=10.0, simulate_all_channels=False)
-    run = generate_run(cfg)
-    op = run.op
-    # quadratic plus linear share
-    chip_rate = pair_rate(cfg.rates, cfg.chip_power_uw, "S2-I2") * (1.0 + 0.10)
-    signal_survival = op.signal_survival * op.eta_quantum * op.acceptance["S2-I2"]
-    expected_signal = chip_rate * signal_survival * 0.5 * cfg.apd2.efficiency \
-        + cfg.apd2.dark_rate_hz
-    observed = run.signal_stream.rate_hz
-    assert abs(observed - expected_signal) < 5.0 * np.sqrt(expected_signal / 10.0) + 10.0
+    for include_umis in (True, False):
+        cfg = replace(default_config, duration_s=20.0, include_umis=include_umis)
+        run = generate_run(cfg)
+        expected = _expected_singles_hz(cfg)
+        streams = [run.signal_stream, *run.idler_streams.values()]
+        assert sorted(s.label for s in streams) == sorted(expected)
+        for stream in streams:
+            n = expected[stream.label] * cfg.duration_s
+            z = (stream.count - n) / np.sqrt(n)
+            assert abs(z) < 5.0, (include_umis, stream.label, stream.count, n)
+
+
+def test_truncated_laplace_is_one_uniform_per_sample_inside_the_bound():
+    scale, n = 325.0, 200_000
+    rng = np.random.default_rng(11)
+    x = _truncated_laplace(rng, scale, n)
+    assert np.abs(x).max() <= 5.0 * scale
+
+    def cdf(t):
+        mass = -np.expm1(-np.minimum(np.abs(t), 5.0 * scale) / scale) / -np.expm1(-5.0)
+        return 0.5 + 0.5 * np.sign(t) * mass
+
+    assert stats.kstest(x, cdf).pvalue > 1e-3
+    ref = np.random.default_rng(11)
+    ref.uniform(-1.0, 1.0, n)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_default_scenario_mismatched_idler_is_accidental_only(default_config):
