@@ -66,7 +66,7 @@ class VisibilityResult:
     v_minmax: float
     v_minmax_sigma: float
     estimators_disagree: bool
-    clamped_points: int
+    negative_net_points: int
 
 
 def visibility_minmax(n_max: float, n_min: float) -> tuple[float, float]:
@@ -119,9 +119,10 @@ def _visibility_from_beta(beta: np.ndarray, cov: np.ndarray) -> tuple[float, flo
 def fit_visibility(scan: FringeScan) -> VisibilityResult:
     """Least-squares fringe fit, raw and background-subtracted.
 
-    Requires at least 4 points spanning more than pi of phase.  Negative
-    background-subtracted counts are clamped to zero and counted in
-    ``clamped_points``.
+    Requires at least 4 points spanning more than pi of phase.  The net
+    fit takes the background-subtracted counts as they are, negative ones
+    included, since a floor at zero would bias ``v_net`` low near V = 1;
+    ``negative_net_points`` counts the negative ones.
     """
     if len(scan.points) < 4:
         raise ValueError(f"need at least 4 fringe points, got {len(scan.points)}")
@@ -136,8 +137,6 @@ def fit_visibility(scan: FringeScan) -> VisibilityResult:
     v_raw, s_raw, phi0 = _visibility_from_beta(beta_raw, cov_raw)
 
     net = counts - bg
-    clamped = int(np.sum(net < 0))
-    net = np.maximum(net, 0.0)
     var_net = np.maximum(counts, 1.0) + np.maximum(bg, 0.0)
     beta_net, cov_net = _cosine_fit(phases, net, var_net)
     v_net, s_net, _ = _visibility_from_beta(beta_net, cov_net)
@@ -157,7 +156,7 @@ def fit_visibility(scan: FringeScan) -> VisibilityResult:
         v_minmax=v_mm,
         v_minmax_sigma=s_mm,
         estimators_disagree=bool(disagree),
-        clamped_points=clamped,
+        negative_net_points=int(np.sum(net < 0)),
     )
 
 
@@ -266,5 +265,5 @@ def visibility_result_to_dict(result: VisibilityResult) -> dict:
         "v_minmax": result.v_minmax,
         "v_minmax_sigma": result.v_minmax_sigma,
         "estimators_disagree": result.estimators_disagree,
-        "clamped_points": result.clamped_points,
+        "negative_net_points": result.negative_net_points,
     }

@@ -279,8 +279,9 @@ def write_streams(streams: list[EventStream], path: str | Path,
     digest so a written run can be re-analyzed without its original config.
 
     Raises ``ValueError`` naming the stream for a file ``read_streams``
-    could not read back: a duration other than the first stream's, a
-    repeated label, or a label with one of the characters above.
+    could not read back or whose manifest would misstate it: a duration
+    or seed other than the first stream's, a repeated label, or a label
+    with one of the characters above.
     """
     if not streams:
         raise ValueError("no streams to write")
@@ -291,6 +292,9 @@ def write_streams(streams: list[EventStream], path: str | Path,
             raise ValueError(f"stream {s.label!r}: duration {s.duration_s} s differs from "
                              f"{first.duration_s} s; all streams in one tag file must share "
                              f"a duration")
+        if s.seed != first.seed:
+            raise ValueError(f"stream {s.label!r}: seed {s.seed} differs from {first.seed}; "
+                             f"all streams in one tag file must share a seed")
         if s.label in labels:
             raise ValueError(f"stream {s.label!r}: label appears twice; each stream of a "
                              f"tag file needs its own")

@@ -212,13 +212,12 @@ def sample_pair_paths(fringe: FringeModel, n: int, rng: np.random.Generator) -> 
     )
 
 
-def sample_single_paths(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Interferometer outcome for photons whose partner was already lost.
+def sample_single_paths(n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Interferometer outcome for ``n`` photons whose partner was already lost.
 
-    Returns ``(alive, long)``: survival probability 1/2, and the survivors
-    split evenly between short and long arms.
+    Returns ``(n_short, n_long)`` from one multinomial draw: each photon
+    leaves by the short arm or the long arm with probability 1/4 each and
+    is lost with probability 1/2.
     """
-    u = rng.random(n)
-    alive = u < 0.5
-    long_arm = u < 0.25
-    return alive, long_arm
+    n_short, n_long, _lost = rng.multinomial(n, [0.25, 0.25, 0.5])
+    return int(n_short), int(n_long)

@@ -3,11 +3,13 @@
 A run is a pure function of (scenario, seed).  Pair arrivals are
 homogeneous Poisson, the idler trailing its signal by a truncated-Laplace
 delay; each arm's unpaired photons (broken pairs and linear noise) are
-one uniform Poisson population.  Each photon survives a chain of
-Bernoulli stages (passive losses, frequency conversion with its
-acceptance factor, interferometer routing, detector efficiency), picks
-up timing jitter, and is finally merged with dark counts and pruned for
-dead time.
+one uniform Poisson population.  Their times do not decide their
+interferometer paths, so they are routed by count: one multinomial
+split gives how many leave by each arm, and only those get a time.
+Each photon survives a chain of Bernoulli stages (passive losses,
+frequency conversion with its acceptance factor, interferometer
+routing, detector efficiency), picks up timing jitter, and is finally
+merged with dark counts and pruned for dead time.
 
 Randomness discipline: every stage draws from its own generator, seeded
 by hashing (master seed, stage name, channel label), so adding a stage
@@ -208,13 +210,21 @@ def _truncated_laplace(rng: np.random.Generator, scale: float, n: int) -> np.nda
     return np.copysign(-scale * np.log1p(np.abs(v) * np.expm1(-JITTER_BOUND_SCALES)), v)
 
 
-def _route_single(t: np.ndarray, rng: np.random.Generator, delay_ps: float,
-                  include_umis: bool) -> np.ndarray:
-    """Unpaired photons through their arm's interferometer, when it is in place."""
+def _lone_times(n: int, rng_pairs: np.random.Generator, rng_umi: np.random.Generator,
+                duration_ps: int, delay_ps: int, include_umis: bool) -> np.ndarray:
+    """Times of an arm's ``n`` unpaired photons, after its interferometer if in place.
+
+    Their times are uniform and do not decide their paths, so routing is a
+    split of the count (from ``rng_umi``): only the photons the
+    interferometer passes get a time (from ``rng_pairs``), and the last
+    ``n_long`` of them are delayed by the long arm.
+    """
     if not include_umis:
-        return t
-    alive, long_arm = sample_single_paths(t.size, rng)
-    return (t + np.where(long_arm, delay_ps, 0.0))[alive]
+        return rng_pairs.uniform(0.0, duration_ps, n)
+    n_short, n_long = sample_single_paths(n, rng_umi)
+    t = rng_pairs.uniform(0.0, duration_ps, n_short + n_long)
+    t[n_short:] += delay_ps
+    return t
 
 
 def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> RunResult:
@@ -271,17 +281,17 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
         n_lone_i = n_ionly + int(rng_raman.poisson(raman_i * config.duration_s))
 
         t_sig = rng_pairs.uniform(0.0, duration_ps, n_both)
-        t_lone_s = rng_pairs.uniform(0.0, duration_ps, n_lone_s)
-        t_lone_i = rng_pairs.uniform(0.0, duration_ps, n_lone_i)
         t_idl = t_sig + _truncated_laplace(rng_jit, tau_ps, n_both)
-
         if config.include_umis:
             paths = sample_pair_paths(config.fringe, n_both, rng_umi)
             t_sig = (t_sig + np.where(paths.signal_long, delay_ps, 0.0))[paths.signal_alive]
             t_idl = (t_idl + np.where(paths.idler_long, delay_ps, 0.0))[paths.idler_alive]
+        lone_s, lone_i = (
+            _lone_times(n, rng_pairs, rng_umi, duration_ps, delay_ps, config.include_umis)
+            for n in (n_lone_s, n_lone_i))
         # a channel not routed to the signal detector has p_sig = 0: no signal photons
-        sig_parts += [t_sig, _route_single(t_lone_s, rng_umi, delay_ps, config.include_umis)]
-        idl_parts = [t_idl, _route_single(t_lone_i, rng_umi, delay_ps, config.include_umis)]
+        sig_parts += [t_sig, lone_s]
+        idl_parts = [t_idl, lone_i]
         idler_streams[pair.idler_label] = detect(pair.idler_label, idl_parts, config.apd1)
 
     signal_stream = detect(config.signal_stream_label, sig_parts, config.signal_detector())

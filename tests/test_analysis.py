@@ -105,14 +105,14 @@ def test_constant_background_lowers_raw_leaves_net():
     assert dirty.v_net > dirty.v_raw
 
 
-def test_oversubtracted_background_clamps_and_flags():
+def test_oversubtracted_background_flags_negative_net_points():
     scan = FringeScan(tuple(
         FringePoint(phase_rad=float(p), center_counts=float(c), background_counts=120.0)
         for p, c in zip(np.linspace(0, 2 * np.pi, 8, endpoint=False),
                         100.0 * (1.0 + np.cos(np.linspace(0, 2 * np.pi, 8, endpoint=False))))
     ))
     result = fit_visibility(scan)
-    assert result.clamped_points > 0
+    assert result.negative_net_points > 0
 
 
 def test_error_scaling_with_counts():

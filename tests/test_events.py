@@ -142,7 +142,7 @@ def test_background_start_outside_window_edge_and_span_rejected(start_ns):
 
 def test_write_read_round_trip(tmp_path):
     a = _poisson_stream("S2'", 5000.0, 0.5, seed=10)
-    b = _poisson_stream("I2", 8000.0, 0.5, seed=11)
+    b = _poisson_stream("I2", 8000.0, 0.5, seed=10)
     path = write_streams([a, b], tmp_path / "tags.csv", config_digest="abc123")
     streams, manifest = read_streams(path)
     assert manifest["labels"] == ["S2'", "I2"]
@@ -319,6 +319,13 @@ def test_write_refuses_mixed_durations_naming_the_stream(tmp_path):
     streams = [EventStream("A", np.array([1]), 1.0, 0), EventStream("B", np.array([1]), 2.0, 0)]
     with pytest.raises(ValueError, match=r"stream 'B': duration 2\.0 s differs from 1\.0 s"):
         write_streams(streams, tmp_path / "tags.csv")
+
+
+def test_write_refuses_mixed_seeds_naming_the_stream(tmp_path):
+    streams = [EventStream("A", np.array([1]), 1.0, 10), EventStream("B", np.array([1]), 1.0, 11)]
+    with pytest.raises(ValueError, match=r"stream 'B': seed 11 differs from 10"):
+        write_streams(streams, tmp_path / "tags.csv")
+    assert not (tmp_path / "tags.csv").exists()
 
 
 def test_coincidence_config_validation():

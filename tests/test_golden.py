@@ -37,45 +37,45 @@ GOLDEN = {
     },
     "demux": {
         "crosstalk_matrix.csv":
-            "6c36ce842caf0e564707e72cd99a380846161baa66601b587c5cf72a178ac162",
+            "3e10b74a790e616458ca400fe9d03b839a59c2ab1b8294f5094d29b536b23576",
         "fringe_S1_after.csv":
-            "0b097ce47deb2bdf0368ff8509062a2dcefd53f1edfabf01a44c1a17d4cb4474",
+            "0e3720693f6534ac36910c295d3a1735da78c99e9bdda302cd5767f528573ed3",
         "fringe_S1_before.csv":
-            "67b38d553afadcbd8139765a6b021b3ff832b9eba19c5ed6530c091d206604ac",
+            "d927dd1a17e74c9e0c6d872b984d42f25ad0d2f99b078daa6fd134003362d88f",
         "fringe_S2_after.csv":
-            "d8207495a88cae6c6ed60a5e18da291836acbd428f25fe2b64780fa8f2f5a1b8",
+            "bc6c3dcd1a48a64bd91bbf471202c2cc5316bc17f50f57d5ab145d17781c9914",
         "fringe_S2_before.csv":
-            "261d1a5092400a46d598414c6474c33a29f8558cc55b77ec9a1e9ec2fa18ac71",
+            "137dd618a65c897df6d2c0c572baf669f0e0840c3c5dcd04ee4c31c0e2d770ff",
         "fringe_S3_after.csv":
-            "bf547bade8c4b48fd73bbf4590bd37f7810d647f987019fa89cb8dbb3abb532d",
+            "8dbb5a5c1eb8a9f499fe173dabc399b7b1e417e25599b36d78b6061fa25d6941",
         "fringe_S3_before.csv":
-            "df86c7f19b43aa345aa19c51fe70ac1e61c7d51e00972cd7eca3292a6f9308df",
+            "37764fcf2dea63e92318a3f51b73e47d3aff08e2d806df734619d1785e434a71",
         "manifest.json":
             "c6d05b8770fcd10870aaeaf206942b0740b197222ecc110ce89e1535c09fb364",
         "pump_solutions.json":
             "0076d8eed233ce4c6f15738014dccd800b19770883cb27c30dbaf7186f150b11",
         "tags_S1.csv":
-            "15b2b580bd10158aa2ecc13ba3eb0937c8048430162f8ea968d2371ac6d91001",
+            "dfd4170cb6856e14d67bb2780e25202b9b74f6e9ed0f3e77202e17742998882a",
         "tags_S1.manifest.json":
             "2c1355c443489fb13b9867885499d5e8c418da60f30549f6198aed4b449de201",
         "tags_S2.csv":
-            "1498e58866d0fc474c4ef97ab34553cc939e3dd70a684e66446b5224658f2e9e",
+            "7cea3583d0d9eb6cda53d8db7946625b636361b218d978a80a623755fdb799ed",
         "tags_S2.manifest.json":
             "d548a5250135182a04385d9f4cc9a8805e1a0833aa1a1c4009cc114c567d3454",
         "tags_S3.csv":
-            "89dcbb29c32b1b6ffd830eac7806ecf24da78415a138dbf645e82744f0c05298",
+            "716bd2257287393519cbbc80db45505b824c04ff1b43469d93822b27e4dd1dc0",
         "tags_S3.manifest.json":
             "41bae808bef81e9b725c138d76d1ebfaffc6e4bc2d2a9d548f207bb841ca10e0",
         "visibility_table.json":
-            "95ef3251750f273a87bf9f63b3796fb7e9cd47171545b4db278e420dadb99b2c",
+            "86f98139941624208de75b97f486eff6d906f69ef2f0a1beab811d87a08854e5",
         "visibility_table.txt":
-            "c849d2067a9b59d1a80de69e2107c5f05216ad9a31ec9c81d21e682d0e500762",
+            "d9e33615b0b8a81e2c67dc2fc07db1b95f8335bca0fe4c170c4ce4d0610e490c",
     },
     "fringe": {
         "fringe_S2.csv":
-            "9216f6977294b781008f5fcc6377433de937bc9fc5dbe300e68a111593f3bca1",
+            "c8b3598b2b6fe4d36e9eff72d8e77abff45ab21ffc4e6e2f19fea8b0e4ad8469",
         "fringe_S2_visibility.json":
-            "b8c7b991e2b351b64d8aa37c254afa96b271a2083b1117332d4283ef9e41ab01",
+            "215333664b9b5248defd54f4735b55f25e91cfe65a132a1a6d88b0d587dc600e",
         "manifest.json":
             "9316db0f022efef2668c2cb925ede47330cffb86f037da10502c2d4e9830fde8",
     },

@@ -8,9 +8,10 @@ from qdemux.channel_plan import build_plan
 from qdemux.config import load_config
 from qdemux.detection import DetectorSpec, LossLedger
 from qdemux.events import CoincidenceConfig, central_window_counts, histogram
-from qdemux.franson import FringeModel, UmiSpec
+from qdemux.franson import FringeModel, UmiSpec, sample_single_paths
 from qdemux.montecarlo import (
     ScenarioConfig,
+    _lone_times,
     _truncated_laplace,
     detection_arms,
     fringe_scan,
@@ -221,6 +222,27 @@ def test_truncated_laplace_is_one_uniform_per_sample_inside_the_bound():
     ref = np.random.default_rng(11)
     ref.uniform(-1.0, 1.0, n)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_lone_times_draw_only_the_photons_an_interferometer_passes():
+    n, duration_ps, delay_ps = 100_000, 10**9, 1600
+    rng_pairs, rng_umi = np.random.default_rng(5), np.random.default_rng(6)
+    t = _lone_times(n, rng_pairs, rng_umi, duration_ps, delay_ps, include_umis=True)
+    n_short, n_long = sample_single_paths(n, np.random.default_rng(6))
+    assert t.size == n_short + n_long
+    assert np.all((t[:n_short] >= 0) & (t[:n_short] < duration_ps))
+    assert np.all((t[n_short:] >= delay_ps) & (t[n_short:] < duration_ps + delay_ps))
+    ref = np.random.default_rng(5)
+    ref.uniform(0.0, duration_ps, n_short + n_long)
+    assert rng_pairs.bit_generator.state == ref.bit_generator.state
+
+    # without interferometers every photon gets a time and umi is untouched
+    rng_pairs, rng_umi = np.random.default_rng(5), np.random.default_rng(6)
+    t = _lone_times(n, rng_pairs, rng_umi, duration_ps, delay_ps, include_umis=False)
+    ref = np.random.default_rng(5)
+    assert np.array_equal(t, ref.uniform(0.0, duration_ps, n))
+    assert rng_pairs.bit_generator.state == ref.bit_generator.state
+    assert rng_umi.bit_generator.state == np.random.default_rng(6).bit_generator.state
 
 
 def test_default_scenario_mismatched_idler_is_accidental_only(default_config):
