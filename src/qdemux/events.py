@@ -257,10 +257,14 @@ def central_window_counts(h: CoincidenceHistogram, window_ns: float,
 
 # Rows per block written, and characters per block read (that many rows of
 # 16 characters): large enough that the per-block Python cost vanishes, small
-# enough that one block's text and string lists stay a few MB.
+# enough that one block's text, bytes and digit matrices stay a few MB.
 _BLOCK_ROWS = 16_384
 _BLOCK_CHARS = 16 * _BLOCK_ROWS
 _HEADER = "channel,time_ps"
+# The byte parser reads times of at most 18 digits, which int64 always holds;
+# the writer cuts a block at the powers of ten from 10 to 10**18.
+_MAX_DIGITS = 18
+_TENS = 10 ** np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)
 
 
 def _manifest_path(path: Path) -> Path:
@@ -271,12 +275,17 @@ def write_streams(streams: list[EventStream], path: str | Path,
                   config_digest: str = "") -> Path:
     """Write streams to a tag CSV with a sidecar manifest; returns the CSV path.
 
-    The CSV is a ``channel,time_ps`` header then one ``label,time_ps`` row
-    per event, each line ended by CRLF, one stream after another in the
-    given order, timestamps ascending within each.  Labels are written
-    unquoted, so a label must not contain a comma, a double quote, CR or
-    LF.  The manifest records duration, seed, labels, and the scenario
-    digest so a written run can be re-analyzed without its original config.
+    The CSV is UTF-8: a ``channel,time_ps`` header then one
+    ``label,time_ps`` row per event, each line ended by CRLF, one stream
+    after another in the given order, timestamps ascending within each.
+    Labels are written unquoted, so a label must not contain a comma, a
+    double quote, CR or LF.  The manifest records duration, seed, labels,
+    and the scenario digest so a written run can be re-analyzed without its
+    original config.
+
+    Since times ascend, the rows of a block that share a digit count are
+    contiguous; each such run is formatted as one byte matrix (label and
+    comma, digits, CRLF), the same bytes as ``csv.writer``.
 
     Raises ``ValueError`` naming the stream for a file ``read_streams``
     could not read back or whose manifest would misstate it: a duration
@@ -303,47 +312,72 @@ def write_streams(streams: list[EventStream], path: str | Path,
                              f"quote, CR or LF")
         labels.append(s.label)
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(_HEADER + "\r\n")
+    with path.open("wb") as fh:
+        fh.write(f"{_HEADER}\r\n".encode())
         for s in streams:
-            prefix = s.label + ","
-            row_break = "\r\n" + prefix
+            prefix = np.frombuffer(f"{s.label},".encode(), dtype=np.uint8)
             for start in range(0, s.count, _BLOCK_ROWS):
-                block = s.timestamps_ps[start:start + _BLOCK_ROWS].tolist()
-                fh.write(prefix + row_break.join(map(str, block)) + "\r\n")
+                block = s.timestamps_ps[start:start + _BLOCK_ROWS]
+                ends = [*np.searchsorted(block, _TENS).tolist(), block.size]
+                for digits, (lo, hi) in enumerate(zip([0, *ends], ends), start=1):
+                    if hi > lo:
+                        fh.write(_row_bytes(prefix, block[lo:hi], digits))
     manifest = {
         "duration_s": first.duration_s,
         "seed": first.seed,
         "config_digest": config_digest,
         "labels": labels,
     }
-    _manifest_path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _manifest_path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                    encoding="utf-8")
     return path
 
 
+def _row_bytes(prefix: np.ndarray, times: np.ndarray, digits: int) -> np.ndarray:
+    """One row per time: ``prefix``, the time's ``digits`` decimal digits, CRLF."""
+    rows = np.empty((times.size, prefix.size + digits + 2), dtype=np.uint8)
+    rows[:, :prefix.size] = prefix
+    rest = times
+    for col in range(prefix.size + digits - 1, prefix.size - 1, -1):
+        quot = rest // 10  # with the multiply-subtract below, faster than np.divmod
+        rows[:, col] = rest - quot * 10
+        rest = quot
+    rows[:, prefix.size:-2] += ord("0")
+    rows[:, -2:] = (ord("\r"), ord("\n"))
+    return rows
+
+
 def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
-    """Read a tag CSV and its manifest back into streams.
+    """Read a UTF-8 tag CSV and its manifest back into streams.
 
     Lines may end in CRLF, LF or CR, and blank lines are skipped.  Every
     other line must be ``label,time_ps``: an unquoted label that the
     manifest lists, as ``write_streams`` writes it, and a time that
-    ``int()`` reads and int64 holds.
+    ``int()`` reads and int64 holds.  The manifest must hold ``labels``, a
+    list of strings; ``duration_s``, a positive number; ``seed``, an
+    integer; and, if present, ``config_digest``, a string.
 
-    Raises ``ValueError`` naming the manifest if it lists a label twice;
-    naming the file and the offending line for a row without exactly 2
-    fields, a time that is not such an integer, and a channel the manifest
-    does not list; and naming the file and the offending channel for
-    timestamps that are not strictly increasing or fall outside
+    The file is read in blocks of lines.  A block of rows in the form
+    ``write_streams`` writes is parsed as byte matrices in numpy; any other
+    block goes to a str parser with ``int()`` semantics, and a block that
+    parser refuses is searched for its first bad row (see ``_parse_block``).
+
+    Raises ``ValueError`` naming the manifest and the key for a manifest
+    that breaks those rules, and naming the manifest if it lists a label
+    twice; naming the file and the offending line for a row without
+    exactly 2 fields, a time that is not such an integer, and a channel the
+    manifest does not list; and naming the file and the offending channel
+    for timestamps that are not strictly increasing or fall outside
     ``[0, duration)``.
     """
     path = Path(path)
-    manifest = json.loads(_manifest_path(path).read_text())
+    manifest = _read_manifest(path)
     labels = manifest["labels"]
     index = {label: i for i, label in enumerate(labels)}
     if len(index) != len(labels):
         raise ValueError(f"{_manifest_path(path)}: a label appears twice in {labels}")
     pieces = [[np.empty(0, dtype=np.int64)] for _ in labels]
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != _HEADER:
             raise ValueError(f"{path}: line 1: expected header '{_HEADER}', "
@@ -352,11 +386,11 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
         while block := fh.read(_BLOCK_CHARS):
             block += fh.readline()  # up to the end of the block's last line
             try:
-                times, owner = _parse_block(block, index)
+                parsed = _parse_block(block, index)
             except (ValueError, OverflowError, KeyError):
                 _raise_first_bad_line(path, block, lineno, labels)
-            for i, own in enumerate(pieces):
-                own.append(times[owner == i])
+            for i, times in parsed:
+                pieces[i].append(times)
             lineno += block.count("\n")
     streams = []
     for label, own in zip(labels, pieces):
@@ -368,8 +402,40 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
     return streams, manifest
 
 
-def _parse_block(block: str, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Times and label indices of a block of whole lines.
+def _read_manifest(path: Path) -> dict:
+    """The manifest of the tag file ``path``, its keys checked."""
+    where = _manifest_path(path)
+    manifest = json.loads(where.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(manifest).__name__}")
+    checks = [
+        ("labels", "a list of strings",
+         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+        ("duration_s", "a positive number",
+         lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < np.inf),
+        ("seed", "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+        ("config_digest", "a string", lambda v: isinstance(v, str)),
+    ]
+    for key, kind, ok in checks:
+        if key not in manifest:
+            if key != "config_digest":  # the one optional key
+                raise ValueError(f"{where}: no '{key}' key")
+        elif not ok(manifest[key]):
+            raise ValueError(f"{where}: '{key}' must be {kind}, got {manifest[key]!r}")
+    return manifest
+
+
+def _parse_block(block: str, index: dict[str, int]) -> list[tuple[int, np.ndarray]]:
+    """(label index, times) pieces of a block of whole lines, in file order.
+
+    There are two parsers, chosen by the block's content.  If every line
+    is ``<label>,<1 to 18 ASCII digits>`` with a manifest label, as
+    ``write_streams`` writes every time below 10**18 ps, the block's UTF-8
+    bytes are cut into runs of lines of one width and first byte, and each
+    run is checked and converted as one byte matrix.  Any other block goes
+    to the str parser, which accepts whatever ``int()`` reads (``+5``,
+    `` 5``, ``5_0``, non-ASCII digits, 19-digit times) and finds the
+    malformed rows.
 
     Raises ``ValueError``, ``OverflowError`` or ``KeyError``, without
     saying where, if any row is malformed.
@@ -379,6 +445,53 @@ def _parse_block(block: str, index: dict[str, int]) -> tuple[np.ndarray, np.ndar
     if block.startswith("\n") or "\n\n" in block:
         block = "".join(line + "\n" for line in block.split("\n") if line)
     chars = np.frombuffer(block.encode(), dtype=np.uint8)
+    runs = _parse_runs(chars, index)
+    if runs is not None:
+        return runs
+    times, owner = _parse_fields(block, chars, index)
+    return [(i, times[owner == i]) for i in index.values()]
+
+
+def _parse_runs(chars: np.ndarray, index: dict[str, int]) -> list[tuple[int, np.ndarray]] | None:
+    """The byte parser of ``_parse_block``; None if a line is not in the writer's form."""
+    ends = np.flatnonzero(chars == ord("\n")) + 1
+    if not ends.size:
+        return []
+    starts = np.concatenate(([0], ends[:-1]))
+    widths = ends - starts
+    heads = chars[starts]
+    cuts = (np.flatnonzero((widths[1:] != widths[:-1]) | (heads[1:] != heads[:-1])) + 1).tolist()
+    runs = []
+    for lo, hi in zip([0, *cuts], [*cuts, ends.size]):
+        run = _parse_run(chars[starts[lo]:ends[hi - 1]].reshape(hi - lo, widths[lo]), index)
+        if run is None:
+            return None
+        runs.append(run)
+    return runs
+
+
+def _parse_run(rows: np.ndarray, index: dict[str, int]) -> tuple[int, np.ndarray] | None:
+    """(label index, times) of rows ``<label>,<digits>LF`` of one width; None if not."""
+    label, comma, _ = rows[0].tobytes().partition(b",")
+    i = index.get(label.decode()) if comma else None
+    prefix = len(label) + 1  # the first row's label and comma, which every row must repeat
+    digits = rows.shape[1] - prefix - 1
+    if (i is None or not 1 <= digits <= _MAX_DIGITS
+            or not (rows[:, :prefix] == rows[0, :prefix]).all()):
+        return None
+    values = rows[:, prefix:-1] - ord("0")  # a non-digit byte wraps past 9
+    if (values > 9).any():
+        return None
+    times = values[:, 0].astype(np.int64)
+    for col in range(1, digits):
+        times *= 10
+        times += values[:, col]
+    return i, times
+
+
+def _parse_fields(block: str, chars: np.ndarray,
+                  index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The str parser of ``_parse_block``: times and label indices of every row."""
     separators = chars[(chars == ord(",")) | (chars == ord("\n"))]
     if not (separators[0::2] == ord(",")).all() or not (separators[1::2] == ord("\n")).all():
         raise ValueError("not one comma per row")

@@ -1,7 +1,11 @@
 import csv
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdemux import events
 from qdemux.events import (
@@ -223,6 +227,31 @@ def test_manifest_listing_a_label_twice_rejected(tmp_path):
         read_streams(csv_path)
 
 
+@pytest.mark.parametrize("manifest, message", [
+    ({"duration_s": 1.0, "seed": 0}, r"no 'labels' key"),
+    ({"labels": "AB", "duration_s": 1.0, "seed": 0}, r"'labels' must be a list of strings"),
+    ({"labels": ["A", 2], "duration_s": 1.0, "seed": 0}, r"'labels' must be a list of strings"),
+    ({"labels": ["A"], "seed": 0}, r"no 'duration_s' key"),
+    ({"labels": ["A"], "duration_s": "x", "seed": 0}, r"'duration_s' must be a positive number"),
+    ({"labels": ["A"], "duration_s": 0, "seed": 0}, r"'duration_s' must be a positive number"),
+    ({"labels": ["A"], "duration_s": True, "seed": 0}, r"'duration_s' must be a positive number"),
+    ({"labels": ["A"], "duration_s": float("nan"), "seed": 0},
+     r"'duration_s' must be a positive number"),
+    ({"labels": ["A"], "duration_s": 1.0}, r"no 'seed' key"),
+    ({"labels": ["A"], "duration_s": 1.0, "seed": "7"}, r"'seed' must be an integer"),
+    ({"labels": ["A"], "duration_s": 1.0, "seed": 1.5}, r"'seed' must be an integer"),
+    ({"labels": ["A"], "duration_s": 1.0, "seed": 0, "config_digest": 5},
+     r"'config_digest' must be a string"),
+    (["A"], r"expected a JSON object, got list"),
+])
+def test_malformed_manifest_names_file_and_key(tmp_path, manifest, message):
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_text("channel,time_ps\nA,1\n")
+    (tmp_path / "tags.manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"tags\.manifest\.json: {message}"):
+        read_streams(csv_path)
+
+
 def test_bad_header_rejected(tmp_path):
     csv_path = tmp_path / "tags.csv"
     csv_path.write_text("time,channel\n")
@@ -245,16 +274,68 @@ def _block_spanning_streams():
             EventStream("I3", np.array([999_999_999_999]), 1.0, 4)]
 
 
-def test_written_bytes_equal_csv_writer(tmp_path):
-    streams = _block_spanning_streams()
-    reference = tmp_path / "reference.csv"
-    with reference.open("w", newline="") as fh:
+def _every_digit_width_streams():
+    """Times of every digit count from 1 to 19, widths 1-18 inside one write block."""
+    powers = 10 ** np.arange(18, dtype=np.int64)
+    crossing = np.unique(np.concatenate([[0], powers - 1, powers, powers + 7]))
+    huge = np.array([10**18, 10**18 + 1, 1_999_999_999_999_999_999])
+    return [EventStream("S2′", crossing, 2e6, 4),
+            EventStream("I1", huge, 2e6, 4),
+            EventStream("I2", crossing[-5:], 2e6, 4)]
+
+
+def _csv_writer_bytes(streams, path):
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["channel", "time_ps"])
         for s in streams:
             writer.writerows([s.label, int(t)] for t in s.timestamps_ps)
-    path = write_streams(streams, tmp_path / "tags.csv")
-    assert path.read_bytes() == reference.read_bytes()
+    return path.read_bytes()
+
+
+def test_written_bytes_equal_csv_writer(tmp_path):
+    for name, streams in [("block-spanning", _block_spanning_streams()),
+                          ("every-digit-width", _every_digit_width_streams())]:
+        reference = _csv_writer_bytes(streams, tmp_path / f"{name}-reference.csv")
+        path = write_streams(streams, tmp_path / f"{name}.csv")
+        assert path.read_bytes() == reference, name
+
+
+def test_every_digit_width_and_19_digit_times_read_back(tmp_path):
+    streams = _every_digit_width_streams()
+    back, _ = read_streams(write_streams(streams, tmp_path / "tags.csv"))
+    for orig, loaded in zip(streams, back, strict=True):
+        assert loaded.label == orig.label
+        assert np.array_equal(loaded.timestamps_ps, orig.timestamps_ps)
+
+
+def test_labels_meeting_at_one_width_read_back(tmp_path):
+    # I1's last rows and I2's first have one width and first byte: one run, two labels
+    streams = [EventStream("I1", np.array([10**13, 2 * 10**13, 3 * 10**13]), 100.0, 1),
+               EventStream("I2", np.array([4 * 10**13, 5 * 10**13]), 100.0, 1)]
+    back, _ = read_streams(write_streams(streams, tmp_path / "tags.csv"))
+    assert [list(s.timestamps_ps) for s in back] == [[10**13, 2 * 10**13, 3 * 10**13],
+                                                     [4 * 10**13, 5 * 10**13]]
+
+
+_LABEL = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+                 max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(_LABEL, min_size=1, max_size=4, unique=True).map(lambda ls: ls + ["S2′"]),
+       times=st.lists(st.sets(st.integers(0, 9 * 10**18 - 1), max_size=40), min_size=5,
+                      max_size=5))
+def test_round_trip_and_csv_writer_bytes_property(labels, times):
+    streams = [EventStream(label, np.array(sorted(t), dtype=np.int64), 9e6, 0)
+               for label, t in zip(dict.fromkeys(labels), times)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_streams(streams, Path(tmp) / "tags.csv")
+        assert path.read_bytes() == _csv_writer_bytes(streams, Path(tmp) / "reference.csv")
+        back, _ = read_streams(path)
+    for orig, loaded in zip(streams, back, strict=True):
+        assert loaded.label == orig.label
+        assert np.array_equal(loaded.timestamps_ps, orig.timestamps_ps)
 
 
 def _blank_lines_between_blocks(data: bytes) -> bytes:
@@ -265,12 +346,29 @@ def _blank_lines_between_blocks(data: bytes) -> bytes:
     return b"\r\n".join(lines)
 
 
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _rewrite_first_time(data: bytes, edit) -> bytes:
+    header, row, rest = data.split(b"\r\n", 2)
+    label, time = row.decode().split(",")
+    return b"\r\n".join([header, f"{label},{edit(time)}".encode(), rest])
+
+
 @pytest.mark.parametrize("rewrite", [
     lambda data: data.replace(b"\r\n", b"\n"),
     lambda data: data.replace(b"\r\n", b"\r"),
     _blank_lines_between_blocks,
     lambda data: _blank_lines_between_blocks(data).replace(b"\r\n", b"\r"),
-], ids=["lf", "cr", "blank-lines", "cr-blank-lines"])
+    # a first row that int() reads but the writer never writes; leading zeros read the same
+    # on either parser, the others send their block to the str parser
+    lambda data: _rewrite_first_time(data, lambda t: "+" + t),
+    lambda data: _rewrite_first_time(data, lambda t: " " + t),
+    lambda data: _rewrite_first_time(data, lambda t: "00" + t),
+    lambda data: _rewrite_first_time(data, lambda t: t[0] + "_" + t[1:]),
+    lambda data: _rewrite_first_time(data, lambda t: t.translate(_ARABIC_INDIC)),
+], ids=["lf", "cr", "blank-lines", "cr-blank-lines", "plus-sign", "leading-space",
+        "leading-zeros", "underscore", "arabic-indic-digits"])
 def test_read_back_exact_for_other_line_endings(tmp_path, rewrite):
     streams = _block_spanning_streams()
     path = write_streams(streams, tmp_path / "tags.csv")
@@ -287,6 +385,7 @@ def test_read_back_exact_for_other_line_endings(tmp_path, rewrite):
     ("I2,500,I2,501", "expected 2 fields, got 4"),
     ("I2,5e2", r"time_ps '5e2' is not an integer"),
     ("I2,99999999999999999999", r"time_ps '99999999999999999999' is not an integer"),
+    ("I2,9999999999999999999", r"time_ps '9999999999999999999' is not an integer"),
     ("Z,500", r"channel 'Z' not in the manifest's labels"),
 ])
 def test_bad_row_past_first_block_names_its_line(tmp_path, bad_row, message):
