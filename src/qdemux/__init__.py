@@ -84,6 +84,7 @@ from .sfg import (
     phase_mismatch,
     power_efficiency,
     quantum_efficiency,
+    relative_efficiency,
     sfg_wavelength,
     solve_pump_wavelength,
     solve_qpm_temperature,

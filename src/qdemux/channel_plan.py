@@ -120,11 +120,6 @@ class ChannelPair:
             )
 
     @property
-    def offset(self) -> int:
-        """Channel-index offset of the pair from the pump."""
-        return self.pump.index - self.signal.index
-
-    @property
     def signal_label(self) -> str:
         return self.label.split("-")[0]
 

@@ -111,24 +111,17 @@ def _cmd_ring(args, config: ScenarioConfig, outdir: Path) -> list[str]:
 def _cmd_qpm(args, config: ScenarioConfig, outdir: Path) -> list[str]:
     crystal = config.crystal
     design_signal = sfg.matched_signal_nm(crystal, config.sfg_pump.wavelength_nm)
-    length_m = crystal.length_mm * 1e-3
 
     lo, hi = config.sfg_pump.window_nm
     pumps = np.linspace(lo, hi, args.points)
-    rows = []
-    for p in pumps:
-        dk = sfg.phase_mismatch(crystal, float(p), design_signal)
-        rel = float(np.sinc(dk * length_m / 2.0 / np.pi) ** 2)
-        rows.append([f"{p:.4f}", f"{rel:.9e}"])
+    rel = sfg.relative_efficiency(crystal, pumps, design_signal)
+    rows = [[f"{p:.4f}", f"{r:.9e}"] for p, r in zip(pumps, rel)]
     _write_csv(outdir / "qpm_pump_tuning.csv", ["pump_nm", "relative_efficiency"], rows)
 
     temps = np.linspace(crystal.temperature_c - args.temp_span / 2,
                         crystal.temperature_c + args.temp_span / 2, args.points)
-    rows = []
-    for t in temps:
-        dk = sfg.phase_mismatch(crystal, config.sfg_pump.wavelength_nm, design_signal, float(t))
-        rel = float(np.sinc(dk * length_m / 2.0 / np.pi) ** 2)
-        rows.append([f"{t:.4f}", f"{rel:.9e}"])
+    rel = sfg.relative_efficiency(crystal, config.sfg_pump.wavelength_nm, design_signal, temps)
+    rows = [[f"{t:.4f}", f"{r:.9e}"] for t, r in zip(temps, rel)]
     _write_csv(outdir / "qpm_temperature_tuning.csv",
                ["temperature_c", "relative_efficiency"], rows)
 

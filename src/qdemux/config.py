@@ -25,7 +25,7 @@ from .channel_plan import build_plan
 from .detection import LOSS_GROUPS, DetectorSpec, LossEntry, LossLedger
 from .events import CoincidenceConfig
 from .franson import FringeModel, UmiSpec
-from .montecarlo import ScenarioConfig, signal_passive_groups
+from .montecarlo import ScenarioConfig, passive_groups
 from .ring_source import RingSpectrumModel, SfwmRates
 from .sfg import ConversionCurve, CrystalSpec, PumpLaser
 
@@ -348,12 +348,13 @@ def calibrate_pair_coefficient(target_singles_hz: float, chip_power_uw: float,
                                detector: DetectorSpec) -> float:
     """Back-solve the pair coefficient from a detected converted-singles anchor.
 
-    Inverts the signal-arm efficiency chain (passive losses x conversion
-    efficiency x detector efficiency) so that the detected converted
-    singles, including the linear noise share, hit the target rate at the
-    operating powers.
+    Inverts the active channel's converted-arm chain at acceptance 1
+    (``OperatingPoint.signal_arm_survival``: passive losses x conversion
+    efficiency), times the detector efficiency, so that the detected
+    converted singles, including the linear noise share, hit the target
+    rate at the operating powers.
     """
-    passive = signal_ledger.linear(groups=signal_passive_groups(convert_signal=True))
+    passive = signal_ledger.linear(groups=passive_groups(convert_signal=True)[0])
     eta = passive * sfg.quantum_efficiency(curve, sfg_power_mw) * detector.efficiency
     if eta <= 0 or chip_power_uw <= 0:
         raise ConfigError(f"sfwm.pair_coefficient: cannot calibrate at signal-arm efficiency "

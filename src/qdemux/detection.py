@@ -70,12 +70,6 @@ class LossLedger:
     def linear(self, groups: tuple[str, ...] | None = None) -> float:
         return db_to_linear(self.total_db(groups))
 
-    def excluding(self, groups: tuple[str, ...]) -> "LossLedger":
-        return LossLedger(
-            entries=tuple(e for e in self.entries if e.group not in groups),
-            role=self.role,
-        )
-
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -111,20 +105,18 @@ def accidental_rate(singles_a_hz, singles_b_hz, window_ns: float):
 
 @dataclass(frozen=True)
 class DetectionArm:
-    """One detection chain: passive losses, detector, optional conversion factor.
+    """One detection chain: the share of photons that reach the detector, and the detector.
 
-    ``conversion_efficiency`` multiplies the arm efficiency for chains
-    that include photon-wise frequency conversion; leave at 1.0 for a
-    passive arm.  The ledger here must not double-count the detector
-    efficiency (keep detector entries out of it).
+    ``survival`` is everything before the detector (passive losses and,
+    for a converted arm, conversion efficiency times acceptance); it must
+    not count the detector efficiency again.
     """
 
-    ledger: LossLedger
+    survival: float
     detector: DetectorSpec
-    conversion_efficiency: float = 1.0
 
     def efficiency(self) -> float:
-        return self.ledger.linear() * self.detector.efficiency * self.conversion_efficiency
+        return self.survival * self.detector.efficiency
 
 
 def car_curve(source: SfwmRates, arm_signal: DetectionArm, arm_idler: DetectionArm,

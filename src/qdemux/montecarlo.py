@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, franson, ring_source, sfg
-from .channel_plan import ChannelPair, plan_by_signal_label, wavelength_to_frequency
-from .detection import DetectionArm, DetectorSpec, LossLedger, apply_detector
+from .channel_plan import ChannelPair, plan_by_signal_label
+from .detection import LOSS_GROUPS, DetectionArm, DetectorSpec, LossLedger, apply_detector
 from .events import (
     CoincidenceConfig,
     EventStream,
@@ -50,13 +50,15 @@ def sub_rng(master: int, stage: str, label: str = "") -> np.random.Generator:
     return np.random.default_rng(sub_seed(master, stage, label))
 
 
-def signal_passive_groups(convert_signal: bool) -> tuple[str, ...]:
-    """Signal-arm loss groups that count as passive survival.
+def passive_groups(convert_signal: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Loss groups that count as passive survival: (signal arm, idler arm).
 
     Conversion and detection are stages of their own; the SFG module's
-    passive losses apply only when the signal is converted.
+    passive losses apply only when the signal is converted.  The idler arm
+    counts every loss but its detector's, ungrouped entries included.
     """
-    return ("chip", "filters", "sfg_passive") if convert_signal else ("chip", "filters")
+    signal = ("chip", "filters", "sfg_passive") if convert_signal else ("chip", "filters")
+    return signal, tuple(g for g in ("",) + LOSS_GROUPS if g != "detector")
 
 
 @dataclass(frozen=True)
@@ -110,18 +112,6 @@ class ScenarioConfig:
     def signal_stream_label(self) -> str:
         return f"{self.active_label}'" if self.convert_signal else self.active_label
 
-    def signal_passive_ledger(self) -> LossLedger:
-        """Signal-arm losses before the conversion and detector stages."""
-        groups = signal_passive_groups(self.convert_signal)
-        return LossLedger(
-            tuple(e for e in self.signal_ledger.entries if e.group in groups),
-            role=self.signal_ledger.role,
-        )
-
-    def idler_passive_ledger(self) -> LossLedger:
-        """Idler-arm losses before the detector."""
-        return self.idler_ledger.excluding(("detector",))
-
     def signal_detector(self) -> DetectorSpec:
         return self.apd2 if self.convert_signal else self.apd1
 
@@ -143,6 +133,11 @@ class OperatingPoint:
     signal_survival: float
     idler_survival: float
 
+    def signal_arm_survival(self, label: str) -> float:
+        """Share of pair ``label``'s signal photons that reach the signal detector:
+        passive survival x conversion efficiency x acceptance."""
+        return self.signal_survival * self.eta_quantum * self.acceptance[label]
+
 
 def operating_point(config: ScenarioConfig) -> OperatingPoint:
     """Solve the conversion pump for the active channel and derive the rest.
@@ -156,14 +151,11 @@ def operating_point(config: ScenarioConfig) -> OperatingPoint:
         pump_nm = sfg.solve_pump_wavelength(
             config.crystal, active.signal, config.sfg_pump.window_nm
         )
-        matched_thz = wavelength_to_frequency(sfg.matched_signal_nm(config.crystal, pump_nm))
         eta_q = sfg.quantum_efficiency(config.curve, config.sfg_pump.power_mw)
         # one call per channel: np.sinc over a longer array can differ in the last bit
         acceptance = {
-            pair.label: float(sfg._acceptance(
-                config.crystal, pump_nm, matched_thz,
-                (pair.signal.center_frequency_thz - matched_thz) * 1e3,
-            ))
+            pair.label: sfg.relative_efficiency(
+                config.crystal, pump_nm, pair.signal.center_wavelength_nm)
             for pair in pairs
         }
     else:
@@ -171,12 +163,13 @@ def operating_point(config: ScenarioConfig) -> OperatingPoint:
         eta_q = 1.0
         acceptance = {pair.label: 1.0 if pair.label == active.label else 0.0
                       for pair in pairs}
+    signal_groups, idler_groups = passive_groups(config.convert_signal)
     return OperatingPoint(
         pump_nm=pump_nm,
         eta_quantum=eta_q,
         acceptance=acceptance,
-        signal_survival=config.signal_passive_ledger().linear(),
-        idler_survival=config.idler_passive_ledger().linear(),
+        signal_survival=config.signal_ledger.linear(signal_groups),
+        idler_survival=config.idler_ledger.linear(idler_groups),
     )
 
 
@@ -257,7 +250,7 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
 
     for pair in pairs:
         label = pair.label
-        p_sig = op.signal_survival * op.eta_quantum * op.acceptance[label]
+        p_sig = op.signal_arm_survival(label)
         p_idl = op.idler_survival
         rate = ring_source.pair_rate(config.rates, config.chip_power_uw, label)
 
@@ -308,10 +301,9 @@ def detection_arms(config: ScenarioConfig,
     """
     if op is None:
         op = operating_point(config)
-    conv = op.eta_quantum * op.acceptance[config.active_pair.label]
-    arm_signal = DetectionArm(config.signal_passive_ledger(), config.signal_detector(), conv)
-    arm_idler = DetectionArm(config.idler_passive_ledger(), config.apd1)
-    return arm_signal, arm_idler
+    arm_signal = DetectionArm(op.signal_arm_survival(config.active_pair.label),
+                              config.signal_detector())
+    return arm_signal, DetectionArm(op.idler_survival, config.apd1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_plan import ItuChannel, wavelength_to_frequency, frequency_to_wavelength
+from .channel_plan import C_NM_THZ, ItuChannel, wavelength_to_frequency
 
 
 class UnaddressableChannelError(ValueError):
@@ -211,32 +211,33 @@ def matched_signal_nm(crystal: CrystalSpec, pump_nm: float,
     )
 
 
+def relative_efficiency(crystal: CrystalSpec, pump_nm, signal_nm, temperature_c=None):
+    """Conversion efficiency relative to perfect phase matching: sinc^2(Delta_k * L / 2).
+
+    Any of the pump, the signal and the temperature may be an array, as
+    for :func:`phase_mismatch`; equals 1 where the interaction is phase
+    matched.
+    """
+    length_m = crystal.length_mm * 1e-3
+    dk = phase_mismatch(crystal, pump_nm, signal_nm, temperature_c)
+    # np.sinc is sin(pi x)/(pi x)
+    out = np.sinc(dk * length_m / 2.0 / np.pi) ** 2
+    return out if np.ndim(out) else float(out)
+
+
 def acceptance(crystal: CrystalSpec, pump_nm: float, signal_detuning_ghz) -> float | np.ndarray:
     """Relative conversion efficiency for a signal detuned from phase matching.
 
-    ``sinc^2(Delta_k * L / 2)`` evaluated at the signal frequency detuned
-    by ``signal_detuning_ghz`` from the wavelength that the given pump
+    :func:`relative_efficiency` at the signal frequency detuned by
+    ``signal_detuning_ghz`` from the wavelength that the given pump
     phase-matches; equals 1 at zero detuning.  The narrow acceptance is
     what suppresses neighbouring multiplexed channels.
     """
     matched_thz = wavelength_to_frequency(matched_signal_nm(crystal, pump_nm))
-    return _acceptance(crystal, pump_nm, matched_thz, signal_detuning_ghz)
-
-
-def _acceptance(crystal: CrystalSpec, pump_nm: float, matched_thz: float,
-                signal_detuning_ghz) -> float | np.ndarray:
-    """:func:`acceptance` about an already solved matched-signal frequency [THz]."""
     det = np.asarray(signal_detuning_ghz, dtype=float)
     if np.any(np.abs(det) > 2000.0):
         raise ValueError("signal detuning outside +-2 THz")
-    sig_nm = np.asarray(
-        [frequency_to_wavelength(matched_thz + d * 1e-3) for d in np.atleast_1d(det)]
-    )
-    length_m = crystal.length_mm * 1e-3
-    dk = phase_mismatch(crystal, pump_nm, sig_nm)
-    # np.sinc is sin(pi x)/(pi x)
-    out = np.sinc(dk * length_m / 2.0 / np.pi) ** 2
-    return out if det.ndim else float(out[0])
+    return relative_efficiency(crystal, pump_nm, C_NM_THZ / (matched_thz + det * 1e-3))
 
 
 def acceptance_fwhm_ghz(crystal: CrystalSpec, pump_nm: float,

@@ -82,15 +82,8 @@ def test_accidental_rate_examples():
 
 
 def _arms(dark_a=0.0, dark_b=0.0, conv_a=1.0):
-    arm_a = DetectionArm(
-        LossLedger((LossEntry("arm a", 7.0, "chip"),)),
-        DetectorSpec(0.5, dark_rate_hz=dark_a),
-        conversion_efficiency=conv_a,
-    )
-    arm_b = DetectionArm(
-        LossLedger((LossEntry("arm b", 7.0, "chip"),)),
-        DetectorSpec(0.2, dark_rate_hz=dark_b),
-    )
+    arm_a = DetectionArm(db_to_linear(7.0) * conv_a, DetectorSpec(0.5, dark_rate_hz=dark_a))
+    arm_b = DetectionArm(db_to_linear(7.0), DetectorSpec(0.2, dark_rate_hz=dark_b))
     return arm_a, arm_b
 
 
@@ -146,8 +139,8 @@ def test_car_scale_invariance_with_darks():
     # CAR at fixed power when dark counts are present
     rates = SfwmRates(pair_coefficient=0.8)
     arm_a, arm_b = _arms(dark_a=500.0, dark_b=500.0)
-    arm_a_k = DetectionArm(arm_a.ledger, arm_a.detector, conversion_efficiency=0.5)
-    arm_b_k = DetectionArm(arm_b.ledger, arm_b.detector, conversion_efficiency=0.5)
+    arm_a_k = DetectionArm(arm_a.survival * 0.5, arm_a.detector)
+    arm_b_k = DetectionArm(arm_b.survival * 0.5, arm_b.detector)
     for p in (50.0, 200.0, 800.0):
         assert car_curve(rates, arm_a_k, arm_b_k, 0.8, p) < car_curve(
             rates, arm_a, arm_b, 0.8, p)

@@ -367,8 +367,9 @@ def _rewrite_first_time(data: bytes, edit) -> bytes:
     lambda data: _rewrite_first_time(data, lambda t: "00" + t),
     lambda data: _rewrite_first_time(data, lambda t: t[0] + "_" + t[1:]),
     lambda data: _rewrite_first_time(data, lambda t: t.translate(_ARABIC_INDIC)),
+    lambda data: data[:-2],
 ], ids=["lf", "cr", "blank-lines", "cr-blank-lines", "plus-sign", "leading-space",
-        "leading-zeros", "underscore", "arabic-indic-digits"])
+        "leading-zeros", "underscore", "arabic-indic-digits", "no-final-break"])
 def test_read_back_exact_for_other_line_endings(tmp_path, rewrite):
     streams = _block_spanning_streams()
     path = write_streams(streams, tmp_path / "tags.csv")
@@ -397,6 +398,17 @@ def test_bad_row_past_first_block_names_its_line(tmp_path, bad_row, message):
     lines[bad_line - 1] = bad_row
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match=rf"tags\.csv: line {bad_line}: {message}"):
+        read_streams(path)
+
+
+def test_bad_last_row_without_line_break_names_its_line(tmp_path):
+    streams = [EventStream("A", np.array([1, 2, 3]), 1.0, 0),
+               EventStream("B", np.array([4, 5]), 1.0, 0)]
+    path = write_streams(streams, tmp_path / "tags.csv")
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[-2:] == [b"B,5", b""]  # the file's last row, then its final break
+    path.write_bytes(b"\r\n".join(lines[:-2] + [b"B,7x"]))
+    with pytest.raises(ValueError, match=r"tags\.csv: line 6: time_ps '7x' is not an integer"):
         read_streams(path)
 
 

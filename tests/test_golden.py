@@ -24,6 +24,10 @@ COMMANDS = {
     "fringe": ["fringe", "--points", "4", "--duration", "2"],
     "demux": ["demux", "--points", "4", "--duration", "2", "--duration-before", "1",
               "--duration-after", "1", "--emit-tags"],
+    "ring": ["ring"],
+    "sfg-eff": ["sfg-eff"],
+    "loss": ["loss"],
+    "loss-json": ["loss", "--format", "json"],
 }
 
 GOLDEN = {
@@ -79,6 +83,18 @@ GOLDEN = {
         "manifest.json":
             "9316db0f022efef2668c2cb925ede47330cffb86f037da10502c2d4e9830fde8",
     },
+    "loss": {
+        "loss_report.txt":
+            "ddf710fd49bc72ef461faa127e6f8cea00800589a6c6db13dc221bee1d8e15fa",
+        "manifest.json":
+            "be72dcb091f4b4b0274750407728b7a8af40c93a1196cc1ec6a60ffa5fb0168b",
+    },
+    "loss-json": {
+        "loss_report.json":
+            "2e6035759cd778cccb6e9ca1ac7b56fe459e3d9c8f7c451078763974c4fa9943",
+        "manifest.json":
+            "0295292a1809cef9ad2f1d3f5055f2a11bf62bc91db1f93f3d5fa1b725734170",
+    },
     "plan": {
         "manifest.json":
             "9ebcb2c03b574aaa849ac4194f69cc07e737575f20dc4c79f73aaf1a309f7552",
@@ -94,6 +110,18 @@ GOLDEN = {
             "dd9e7859fece910c16d7f9cc9b4fc62ef05bfb925f473cc09a2deff27331f374",
         "qpm_temperature_tuning.csv":
             "b7cab7fe2025610466c8ec26ccbd26edc688c8ee85ccf96a3ae41ef983c63e0e",
+    },
+    "ring": {
+        "manifest.json":
+            "90152d6e3ebd6e9f9acdf4752a92a1514dce86673665404e30a3719a610ac635",
+        "ring_transmission.csv":
+            "22b6a79024e538638b0760a1f62643f3e8a98a319552005d79816c39d3d1e641",
+    },
+    "sfg-eff": {
+        "manifest.json":
+            "ba70cb79e910303c4d07ee3a0af3455e5df6fea89dbc72423820f7f55a825cdf",
+        "sfg_efficiency.csv":
+            "c53e3849b09d3499b239ead296c95cefcfb64d9a25df102281f1691f322b2d77",
     },
 }
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qdemux.channel_plan import build_plan
+from qdemux.channel_plan import build_plan, wavelength_to_frequency
 from qdemux.config import load_config
-from qdemux.detection import DetectorSpec, LossLedger
+from qdemux.detection import DetectorSpec, LossEntry, LossLedger, db_to_linear
 from qdemux.events import CoincidenceConfig, central_window_counts, histogram
 from qdemux.franson import FringeModel, UmiSpec, sample_single_paths
 from qdemux.montecarlo import (
@@ -20,7 +20,14 @@ from qdemux.montecarlo import (
     sub_seed,
 )
 from qdemux.ring_source import RingSpectrumModel, SfwmRates, singles_rate
-from qdemux.sfg import SELLMEIER_SETS, ConversionCurve, CrystalSpec, PumpLaser
+from qdemux.sfg import (
+    SELLMEIER_SETS,
+    ConversionCurve,
+    CrystalSpec,
+    PumpLaser,
+    acceptance,
+    matched_signal_nm,
+)
 
 
 def ideal_config(pair_rate_hz=1e4, duration_s=1.0, phase=0.0, visibility=1.0,
@@ -68,6 +75,19 @@ def test_ideal_run_matches_closed_form_center_rate():
     w = _center_counts(run, cfg)
     expected = 1e4 * 1.0 * 0.25  # pairs * p_center(V=1, phi=0)
     assert abs(w.center - expected) < 5.0 * np.sqrt(expected)
+
+
+def test_arm_survivals_count_only_losses_before_each_stage():
+    signal = LossLedger((LossEntry("chip", 1.0, "chip"), LossEntry("sfg", 2.0, "sfg_passive"),
+                         LossEntry("conversion", 4.0, "conversion"),
+                         LossEntry("detector", 8.0, "detector")))
+    idler = LossLedger((LossEntry("chip", 1.0, "chip"), LossEntry("ungrouped", 0.5),
+                        LossEntry("detector", 8.0, "detector")))
+    cfg = replace(ideal_config(), signal_ledger=signal, idler_ledger=idler)
+    for convert_signal, signal_db in ((False, 1.0), (True, 3.0)):
+        op = operating_point(replace(cfg, convert_signal=convert_signal))
+        assert op.signal_survival == pytest.approx(db_to_linear(signal_db), rel=1e-15)
+        assert op.idler_survival == pytest.approx(db_to_linear(1.5), rel=1e-15)
 
 
 def test_zero_pump_power_leaves_only_darks():
@@ -206,6 +226,19 @@ def test_default_scenario_singles_rates_match_analytic_chain(default_config):
             n = expected[stream.label] * cfg.duration_s
             z = (stream.count - n) / np.sqrt(n)
             assert abs(z) < 5.0, (include_umis, stream.label, stream.count, n)
+
+
+def test_channel_acceptance_equals_acceptance_at_its_detuning(default_config):
+    # the operating point reads each channel's own wavelength; sfg.acceptance
+    # reaches it by detuning from the signal the pump phase-matches
+    for active in ("S1", "S2", "S3"):
+        cfg = replace(default_config, active_label=active)
+        op = operating_point(cfg)
+        matched_thz = wavelength_to_frequency(matched_signal_nm(cfg.crystal, op.pump_nm))
+        for pair in cfg.plan:
+            detuning_ghz = (pair.signal.center_frequency_thz - matched_thz) * 1e3
+            assert op.acceptance[pair.label] == pytest.approx(
+                acceptance(cfg.crystal, op.pump_nm, detuning_ghz), rel=1e-12, abs=0.0)
 
 
 def test_truncated_laplace_is_one_uniform_per_sample_inside_the_bound():

@@ -17,6 +17,7 @@ from qdemux.sfg import (
     power_efficiency,
     quantum_efficiency,
     quantum_from_power,
+    relative_efficiency,
     sfg_wavelength,
     solve_pump_wavelength,
     solve_qpm_temperature,
@@ -91,6 +92,21 @@ def test_sellmeier_validity_range_enforced(crystal):
     with pytest.raises(ValueError, match="validity"):
         # sum-frequency wavelength of a 500 nm "signal" falls far below 0.5 um
         phase_mismatch(crystal, 795.0, 500.0)
+
+
+def test_relative_efficiency_arrays_equal_scalar_calls(crystal):
+    signal = matched_signal_nm(crystal, 795.0)
+    assert relative_efficiency(crystal, 795.0, signal) == pytest.approx(1.0, abs=1e-12)
+    pumps = np.linspace(790.0, 800.0, 801)
+    temps = np.linspace(crystal.temperature_c - 10.0, crystal.temperature_c + 10.0, 801)
+    for array, scalars in (
+        (relative_efficiency(crystal, pumps, signal),
+         [relative_efficiency(crystal, float(p), signal) for p in pumps]),
+        (relative_efficiency(crystal, 795.0, signal, temps),
+         [relative_efficiency(crystal, 795.0, signal, float(t)) for t in temps]),
+    ):
+        assert array.shape == (801,)
+        np.testing.assert_allclose(array, scalars, rtol=1e-15, atol=0.0)
 
 
 def test_acceptance_peak_is_unity(crystal):
