@@ -9,7 +9,7 @@ classic (max-min)/(max+min) estimator is kept as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -141,8 +141,6 @@ def fit_visibility(scan: FringeScan) -> VisibilityResult:
     beta_net, cov_net = _cosine_fit(phases, net, var_net)
     v_net, s_net, _ = _visibility_from_beta(beta_net, cov_net)
 
-    v_raw = float(np.clip(v_raw, 0.0, None))
-    v_net = float(np.clip(v_net, 0.0, None))
     v_mm, s_mm = visibility_minmax(float(counts.max()), float(counts.min()))
     disagree = abs(v_mm - v_raw) > max(s_raw, s_mm)
     return VisibilityResult(
@@ -255,15 +253,7 @@ def visibility_report(cells: dict[str, dict[str, VisibilityResult | None]]) -> s
 
 
 def visibility_result_to_dict(result: VisibilityResult) -> dict:
-    return {
-        "v_raw": result.v_raw,
-        "v_raw_sigma": result.v_raw_sigma,
-        "v_net": result.v_net,
-        "v_net_sigma": result.v_net_sigma,
-        "bell_violating": result.bell_violating,
-        "fit_phase_offset_rad": result.fit_phase_offset_rad,
-        "v_minmax": result.v_minmax,
-        "v_minmax_sigma": result.v_minmax_sigma,
-        "estimators_disagree": result.estimators_disagree,
-        "negative_net_points": result.negative_net_points,
-    }
+    """The result's fields but ``fit_offset``, which only ``fitted_curve`` reads."""
+    out = asdict(result)
+    del out["fit_offset"]
+    return out

@@ -150,11 +150,6 @@ def build_plan(pump_index: int, pair_offsets: list[int]) -> list[ChannelPair]:
     return plan
 
 
-def plan_by_signal_label(plan: list[ChannelPair]) -> dict[str, ChannelPair]:
-    """Index a plan by its signal labels (``"S1"`` -> pair)."""
-    return {pair.signal_label: pair for pair in plan}
-
-
 def _check_index(index: int) -> None:
     if not isinstance(index, (int,)) or isinstance(index, bool):
         raise ValueError(f"channel index must be an integer, got {index!r}")

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -308,14 +308,8 @@ def _cmd_loss(args, config: ScenarioConfig, outdir: Path) -> list[str]:
     if args.format == "json":
         payload = {
             "report": report,
-            "signal_entries": [
-                {"name": e.name, "loss_db": e.loss_db, "group": e.group}
-                for e in config.signal_ledger.entries
-            ],
-            "idler_entries": [
-                {"name": e.name, "loss_db": e.loss_db, "group": e.group}
-                for e in config.idler_ledger.entries
-            ],
+            "signal_entries": [asdict(e) for e in config.signal_ledger.entries],
+            "idler_entries": [asdict(e) for e in config.idler_ledger.entries],
         }
         _write_json(outdir / "loss_report.json", payload)
         return ["loss_report.json"]

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 from . import sfg
 from .channel_plan import build_plan
-from .detection import LOSS_GROUPS, DetectorSpec, LossEntry, LossLedger
+from .detection import DetectorSpec, LossEntry, LossLedger, passive_groups
 from .events import CoincidenceConfig
 from .franson import FringeModel, UmiSpec
-from .montecarlo import ScenarioConfig, passive_groups
+from .montecarlo import ScenarioConfig
 from .ring_source import RingSpectrumModel, SfwmRates
 from .sfg import ConversionCurve, CrystalSpec, PumpLaser
 
@@ -183,8 +184,9 @@ def _typed(value, base, path: str):
     """A copy of ``value``, checked to have the JSON type of its baseline ``base``.
 
     An integer stands for a float (and becomes one in the copy), a number
-    for ``"auto"``; lists are checked by element against their first
-    baseline element, and an empty baseline object is a map of numbers.
+    for ``"auto"``, and a number must be finite; lists are checked by
+    element against their first baseline element, and an empty baseline
+    object is a map of numbers.
     """
     kind = type(base)
     if base == "auto":
@@ -196,6 +198,8 @@ def _typed(value, base, path: str):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected {_expected(base)}, got {value!r}")
+    if kind is float and not math.isfinite(value):  # JSON's NaN and Infinity, or a flag's
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     if kind is list:
         return [_typed(v, base[0], f"{path}[{i}]") for i, v in enumerate(value)]
     if kind is not dict:
@@ -267,16 +271,10 @@ def build_config(raw: dict) -> ScenarioConfig:
     umis = {side: _build(UmiSpec, t["umis"][side], f"umis.{side}")
             for side in ("idler", "signal")}
     fringe = _build(FringeModel, t["fringe"], "fringe")
-    ledgers = {}
-    for arm in ("signal", "idler"):
-        entries = []
-        for i, entry in enumerate(t["ledgers"][arm]):
-            here = f"ledgers.{arm}[{i}]"
-            if entry["group"] not in LOSS_GROUPS:
-                raise ConfigError(f"{here}.group: expected one of {list(LOSS_GROUPS)}, "
-                                  f"got {entry['group']!r}")
-            entries.append(_build(LossEntry, entry, here))
-        ledgers[arm] = LossLedger(tuple(entries), role=f"{arm}-arm")
+    ledgers = {arm: LossLedger(tuple(_build(LossEntry, entry, f"ledgers.{arm}[{i}]")
+                                     for i, entry in enumerate(t["ledgers"][arm])),
+                               role=f"{arm}-arm")
+               for arm in ("signal", "idler")}
     apd1, apd2 = (_build(DetectorSpec, t["detectors"][name], f"detectors.{name}")
                   for name in ("apd1", "apd2"))
     coincidence = _build(CoincidenceConfig, t["coincidence"], "coincidence")

@@ -35,6 +35,17 @@ def linear_to_db(transmission: float) -> float:
 LOSS_GROUPS = ("chip", "filters", "sfg_passive", "conversion", "detector")
 
 
+def passive_groups(convert_signal: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Loss groups that count as passive survival: (signal arm, idler arm).
+
+    Conversion and detection are stages of their own; the SFG module's
+    passive losses apply only when the signal is converted.  The idler arm
+    counts every loss but its detector's.
+    """
+    signal = ("chip", "filters", "sfg_passive") if convert_signal else ("chip", "filters")
+    return signal, tuple(g for g in LOSS_GROUPS if g != "detector")
+
+
 @dataclass(frozen=True)
 class LossEntry:
     """One named loss contribution [dB].
@@ -46,12 +57,14 @@ class LossEntry:
 
     name: str
     loss_db: float
-    group: str = ""
+    group: str
 
     def __post_init__(self) -> None:
         if self.loss_db < 0:
             raise ValueError(
                 f"loss_db: loss entry {self.name!r} must be nonnegative, got {self.loss_db} dB")
+        if self.group not in LOSS_GROUPS:
+            raise ValueError(f"group: expected one of {list(LOSS_GROUPS)}, got {self.group!r}")
 
 
 @dataclass(frozen=True)
@@ -226,8 +239,7 @@ def format_ledger_table(ledger: LossLedger) -> str:
     width = max([len(e.name) for e in ledger.entries] + [len("total")])
     lines = [f"{ledger.role or 'arm'}:"]
     for e in ledger.entries:
-        group = f"  [{e.group}]" if e.group else ""
-        lines.append(f"  {e.name:<{width}}  {e.loss_db:6.2f} dB{group}")
+        lines.append(f"  {e.name:<{width}}  {e.loss_db:6.2f} dB  [{e.group}]")
     total = ledger.total_db()
     lines.append(f"  {'total':<{width}}  {total:6.2f} dB  (x{db_to_linear(total):.4g})")
     return "\n".join(lines)

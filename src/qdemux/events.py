@@ -364,11 +364,12 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
 
     Raises ``ValueError`` naming the manifest and the key for a manifest
     that breaks those rules, and naming the manifest if it lists a label
-    twice; naming the file and the offending line for a row without
-    exactly 2 fields, a time that is not such an integer, and a channel the
-    manifest does not list; and naming the file and the offending channel
-    for timestamps that are not strictly increasing or fall outside
-    ``[0, duration)``.
+    twice or is not JSON; naming the file (or manifest), line and byte of
+    a byte that is not UTF-8; naming the file and the offending line for a
+    row without exactly 2 fields, a time that is not such an integer, and a
+    channel the manifest does not list; and naming the file and the
+    offending channel for timestamps that are not strictly increasing or
+    fall outside ``[0, duration)``.
     """
     path = Path(path)
     manifest = _read_manifest(path)
@@ -378,20 +379,24 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
         raise ValueError(f"{_manifest_path(path)}: a label appears twice in {labels}")
     pieces = [[np.empty(0, dtype=np.int64)] for _ in labels]
     with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _HEADER:
-            raise ValueError(f"{path}: line 1: expected header '{_HEADER}', "
-                             f"got {header.split(',')}")
-        lineno = 2
-        while block := fh.read(_BLOCK_CHARS):
-            block += fh.readline()  # up to the end of the block's last line
-            try:
-                parsed = _parse_block(block, index)
-            except (ValueError, OverflowError, KeyError):
-                _raise_first_bad_line(path, block, lineno, labels)
-            for i, times in parsed:
-                pieces[i].append(times)
-            lineno += block.count("\n")
+        try:
+            header = fh.readline().rstrip("\n")
+            if header != _HEADER:
+                raise ValueError(f"{path}: line 1: expected header '{_HEADER}', "
+                                 f"got {header.split(',')}")
+            lineno = 2
+            while block := fh.read(_BLOCK_CHARS):
+                block += fh.readline()  # up to the end of the block's last line
+                try:
+                    parsed = _parse_block(block, index)
+                except (ValueError, OverflowError, KeyError):
+                    _raise_first_bad_line(path, block, lineno, labels)
+                for i, times in parsed:
+                    pieces[i].append(times)
+                lineno += block.count("\n")
+        except UnicodeDecodeError:  # decoded ahead in chunks: _utf8_text names the byte
+            _utf8_text(path)
+            raise
     streams = []
     for label, own in zip(labels, pieces):
         try:
@@ -402,10 +407,24 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
     return streams, manifest
 
 
+def _utf8_text(path: Path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 is refused naming its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b".").splitlines())  # CR, LF and CRLF end lines
+        raise ValueError(f"{path}: line {line}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+
+
 def _read_manifest(path: Path) -> dict:
     """The manifest of the tag file ``path``, its keys checked."""
     where = _manifest_path(path)
-    manifest = json.loads(where.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(_utf8_text(where))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{where}: expected a JSON object, got {type(manifest).__name__}")
     checks = [

@@ -16,14 +16,13 @@ the Michelson double pass).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .channel_plan import C_VACUUM_M_PER_S
 
-#: Vacuum light speed [m/s], for path-delay geometry.
-C_M_PER_S = 299_792_458.0
+TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class UmiSpec:
 
         The factor 2 accounts for the double pass to the end mirror.
         """
-        return C_M_PER_S * self.delay_ns * 1e-9 / (2.0 * self.refractive_index) * 1e3
+        return C_VACUUM_M_PER_S * self.delay_ns * 1e-9 / (2.0 * self.refractive_index) * 1e3
 
 
 def temperature_tuning_period_k(umi: UmiSpec) -> float:
@@ -97,8 +96,7 @@ def tuning_consistency_report(umi: UmiSpec, stated_length_mm: float) -> dict:
     an interferometer whose tuning medium is much shorter.
     """
     period_configured = temperature_tuning_period_k(umi)
-    lam_m = umi.operating_wavelength_nm * 1e-9
-    period_stated = lam_m / (2.0 * stated_length_mm * 1e-3 * umi.dn_dt_per_k)
+    period_stated = temperature_tuning_period_k(replace(umi, tunable_length_mm=stated_length_mm))
     return {
         "label": umi.label,
         "configured_length_mm": umi.tunable_length_mm,
@@ -165,11 +163,11 @@ def outcome_distribution(fringe: FringeModel) -> dict[str, float]:
 
 
 def fringe_expectation(fringe: FringeModel, base_rate: float) -> float:
-    """Central-peak coincidence rate, normalized so V=1, Phi=0 gives ``base_rate``."""
+    """Central-peak coincidence rate: ``base_rate`` x 4 x the outcome table's
+    centre row, so that V=1, Phi=0 gives ``base_rate``."""
     if base_rate < 0:
         raise ValueError(f"base rate must be >= 0, got {base_rate}")
-    phi = fringe.total_phase_rad
-    return base_rate * (1.0 + fringe.visibility * np.cos(phi)) / 2.0
+    return base_rate * 4.0 * _outcome_table(fringe.visibility, fringe.total_phase_rad)[0]
 
 
 @dataclass(frozen=True)

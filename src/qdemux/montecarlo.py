@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, franson, ring_source, sfg
-from .channel_plan import ChannelPair, plan_by_signal_label
-from .detection import LOSS_GROUPS, DetectionArm, DetectorSpec, LossLedger, apply_detector
+from .channel_plan import ChannelPair
+from .detection import DetectionArm, DetectorSpec, LossLedger, apply_detector, passive_groups
 from .events import (
     CoincidenceConfig,
     EventStream,
@@ -48,17 +48,6 @@ def sub_seed(master: int, stage: str, label: str = "") -> int:
 
 def sub_rng(master: int, stage: str, label: str = "") -> np.random.Generator:
     return np.random.default_rng(sub_seed(master, stage, label))
-
-
-def passive_groups(convert_signal: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Loss groups that count as passive survival: (signal arm, idler arm).
-
-    Conversion and detection are stages of their own; the SFG module's
-    passive losses apply only when the signal is converted.  The idler arm
-    counts every loss but its detector's, ungrouped entries included.
-    """
-    signal = ("chip", "filters", "sfg_passive") if convert_signal else ("chip", "filters")
-    return signal, tuple(g for g in ("",) + LOSS_GROUPS if g != "detector")
 
 
 @dataclass(frozen=True)
@@ -106,7 +95,7 @@ class ScenarioConfig:
 
     @property
     def active_pair(self) -> ChannelPair:
-        return plan_by_signal_label(list(self.plan))[self.active_label]
+        return next(p for p in self.plan if p.signal_label == self.active_label)
 
     @property
     def signal_stream_label(self) -> str:
@@ -208,13 +197,12 @@ def _lone_times(n: int, rng_pairs: np.random.Generator, rng_umi: np.random.Gener
     """Times of an arm's ``n`` unpaired photons, after its interferometer if in place.
 
     Their times are uniform and do not decide their paths, so routing is a
-    split of the count (from ``rng_umi``): only the photons the
-    interferometer passes get a time (from ``rng_pairs``), and the last
-    ``n_long`` of them are delayed by the long arm.
+    split of the count (from ``rng_umi``; all ``n`` pass the short arm
+    without interferometers): only the photons the interferometer passes
+    get a time (from ``rng_pairs``), and the last ``n_long`` of them are
+    delayed by the long arm.
     """
-    if not include_umis:
-        return rng_pairs.uniform(0.0, duration_ps, n)
-    n_short, n_long = sample_single_paths(n, rng_umi)
+    n_short, n_long = sample_single_paths(n, rng_umi) if include_umis else (n, 0)
     t = rng_pairs.uniform(0.0, duration_ps, n_short + n_long)
     t[n_short:] += delay_ps
     return t

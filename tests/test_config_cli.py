@@ -98,6 +98,16 @@ def test_unknown_or_missing_loss_group_names_field(entry):
      r"unknown config key 'run\.simulate_all_channels'"),
     ({"run": {"convert_signal": False}},
      r"unknown config key 'run\.convert_signal'"),
+    ({"run": {"chip_power_uw": float("nan")}},
+     r"^run\.chip_power_uw: must be finite, got nan"),
+    ({"coincidence": {"window_ns": float("inf")}},
+     r"^coincidence\.window_ns: must be finite, got inf"),
+    ({"sfwm": {"pair_coefficient": float("-inf")}},
+     r"^sfwm\.pair_coefficient: must be finite, got -inf"),
+    ({"sfwm": {"enhancement": {"S2-I2": float("nan")}}},
+     r"^sfwm\.enhancement\.S2-I2: must be finite, got nan"),
+    ({"sfg_pump": {"window_nm": [790.0, float("inf")]}},
+     r"^sfg_pump\.window_nm\[1\]: must be finite, got inf"),
 ])
 def test_malformed_override_names_path_and_expectation(tmp_path, override, message):
     path = tmp_path / "bad.json"
@@ -285,6 +295,16 @@ def test_run_section_not_an_object_exits_1(tmp_path, capsys, argv):
     bad.write_text('{"run": 5}')
     assert cli.main(argv + ["--config", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert f"config error ({bad}): run: expected an object, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["car", "--duration", "nan"],
+    ["fringe", "--duration", "inf"],
+])
+def test_non_finite_duration_exits_1_naming_it(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert (f"config error (<baseline>): run.duration_s: must be finite, got {argv[2]}"
+            in capsys.readouterr().err)
 
 
 def test_config_error_exits_1(tmp_path, capsys):

@@ -48,7 +48,15 @@ def test_empty_ledger():
 
 def test_negative_entry_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        LossEntry("bad", -0.1)
+        LossEntry("bad", -0.1, "chip")
+
+
+@pytest.mark.parametrize("group", ["", "bogus"])
+def test_entry_outside_loss_groups_rejected(group):
+    # an entry in no group would count in the idler arm's survival but in
+    # no signal survival
+    with pytest.raises(ValueError, match="group: expected one of"):
+        LossEntry("x", 1.0, group)
 
 
 def test_loss_report_headline_numbers():

@@ -252,6 +252,33 @@ def test_malformed_manifest_names_file_and_key(tmp_path, manifest, message):
         read_streams(csv_path)
 
 
+@pytest.mark.parametrize("manifest, message", [
+    (b'{"labels": ["A"] "seed": 0}', r"tags\.manifest\.json: not valid JSON: Expecting ','"),
+    (b'{"labels": ["\xff"]}', r"tags\.manifest\.json: line 1: not UTF-8 text: invalid start byte"),
+])
+def test_unreadable_manifest_names_it(tmp_path, manifest, message):
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_text("channel,time_ps\nA,1\n")
+    (tmp_path / "tags.manifest.json").write_bytes(manifest)
+    with pytest.raises(ValueError, match=message):
+        read_streams(csv_path)
+
+
+@pytest.mark.parametrize("rows, where", [
+    (b"chann\xffel,time_ps\nA,1\n", "line 1: not UTF-8 text: invalid start byte at byte 5"),
+    (b"channel,time_ps\nA,1\r\nA,\xff2\n",
+     "line 3: not UTF-8 text: invalid start byte at byte 23"),
+    (b"channel,time_ps\rA,1\r\xff", "line 3: not UTF-8 text: invalid start byte at byte 20"),
+])
+def test_tag_row_not_utf8_names_file_and_line(tmp_path, rows, where):
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_bytes(rows)
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "labels": ["A"]}')
+    with pytest.raises(ValueError, match=rf"tags\.csv: {where}$"):
+        read_streams(csv_path)
+
+
 def test_bad_header_rejected(tmp_path):
     csv_path = tmp_path / "tags.csv"
     csv_path.write_text("time,channel\n")

@@ -4,16 +4,25 @@ A refactor that keeps the order of random draws must keep every digest
 below.  A change that alters the draws re-freezes them and says so in
 CHANGES.md.  ``manifest.json`` is hashed without its wall-clock
 ``runtime_s``.
+
+``python tests/test_golden.py`` prints the current tree's digests in the
+layout of ``GOLDEN``, ready to paste when a declared draw change re-freezes
+them.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from qdemux import cli
+if __name__ == "__main__":  # run as a script: import this tree's package
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from qdemux import cli  # noqa: E402
 
 SEED = "7"
 
@@ -28,9 +37,19 @@ COMMANDS = {
     "sfg-eff": ["sfg-eff"],
     "loss": ["loss"],
     "loss-json": ["loss", "--format", "json"],
+    # reads tags_S2.csv of the "demux" command above, run into a sibling directory
+    "analyze": ["analyze", "--a", "S2'", "--b", "I2"],
 }
 
 GOLDEN = {
+    "analyze": {
+        "histogram.csv":
+            "9f13bd17b2e3e40661f6b68d781d9ffeda443d1a8307e8780918b173dda01889",
+        "manifest.json":
+            "04890736f6c042a26722c63dc113181ceb158042234da8a9f54b8b41dcdcfd8b",
+        "stats.json":
+            "954e2cf83978422e4dc771bd0435db078d27886c11e15cded2084eb43030dcca",
+    },
     "car": {
         "car_analytic.csv":
             "05068b7a6b6f9dccdf2fb8d222ed1a64fa4d8c7291eb1331f8c992a7aea211c6",
@@ -126,7 +145,7 @@ GOLDEN = {
 }
 
 
-def _file_digests(outdir) -> dict[str, str]:
+def _file_digests(outdir: Path) -> dict[str, str]:
     out = {}
     for path in sorted(p for p in outdir.iterdir() if p.is_file()):
         data = path.read_bytes()
@@ -138,9 +157,29 @@ def _file_digests(outdir) -> dict[str, str]:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_cli_outputs_match_golden_digests(name, tmp_path):
-    argv = COMMANDS[name] + ["--seed", SEED, "--out", str(tmp_path)]
+def run_digests(name: str, outdir: Path) -> dict[str, str]:
+    """Run golden command ``name`` into ``outdir`` and digest what it wrote."""
+    argv = COMMANDS[name] + ["--seed", SEED, "--out", str(outdir)]
+    if name == "analyze":
+        tags = outdir.with_name(outdir.name + "-demux")
+        run_digests("demux", tags)
+        argv += ["--tags", str(tags / "tags_S2.csv")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert _file_digests(tmp_path) == GOLDEN[name]
+    return _file_digests(outdir)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_outputs_match_golden_digests(name, tmp_path):
+    assert run_digests(name, tmp_path / name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for name in sorted(COMMANDS):
+            print(f'    "{name}": {{')
+            for file, digest in run_digests(name, Path(tmp) / name).items():
+                print(f'        "{file}":\n            "{digest}",')
+            print("    },")
+        print("}")

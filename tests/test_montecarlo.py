@@ -81,7 +81,7 @@ def test_arm_survivals_count_only_losses_before_each_stage():
     signal = LossLedger((LossEntry("chip", 1.0, "chip"), LossEntry("sfg", 2.0, "sfg_passive"),
                          LossEntry("conversion", 4.0, "conversion"),
                          LossEntry("detector", 8.0, "detector")))
-    idler = LossLedger((LossEntry("chip", 1.0, "chip"), LossEntry("ungrouped", 0.5),
+    idler = LossLedger((LossEntry("chip", 1.0, "chip"), LossEntry("filters", 0.5, "filters"),
                         LossEntry("detector", 8.0, "detector")))
     cfg = replace(ideal_config(), signal_ledger=signal, idler_ledger=idler)
     for convert_signal, signal_db in ((False, 1.0), (True, 3.0)):
