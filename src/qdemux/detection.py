@@ -174,13 +174,17 @@ def apply_detector(stream: EventStream, spec: DetectorSpec,
     duration_ps = stream.duration_ps
 
     if spec.efficiency < 1.0:
-        t = t[rng.random(t.size) < spec.efficiency]
+        t = np.compress(rng.random(t.size) < spec.efficiency, t)
     if spec.timing_jitter_sigma_ps > 0 and t.size:
         t = t + np.rint(rng.normal(0.0, spec.timing_jitter_sigma_ps, t.size)).astype(np.int64)
     if spec.dark_rate_hz > 0:
         n_dark = rng.poisson(spec.dark_rate_hz * stream.duration_s)
         dark = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
-        t = np.concatenate([t, dark])
+        t = np.concatenate([t, np.sort(dark)])
+    if spec.timing_jitter_sigma_ps > 0 or spec.dark_rate_hz > 0:
+        # in order but where jitter swapped neighbours and where the darks' run
+        # starts: a stable sort (timsort) merges such runs in about one pass
+        t = np.sort(t, kind="stable")
     t = assemble_timestamps(t, duration_ps)
     if spec.dead_time_us > 0 and t.size:
         t = _prune_dead_time(t, int(round(spec.dead_time_us * 1e6)))

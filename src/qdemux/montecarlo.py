@@ -227,8 +227,14 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
     tau_ps = ring_source.pair_correlation_time_ps(config.ring)
 
     def detect(label: str, parts: list[np.ndarray], detector: DetectorSpec) -> EventStream:
-        raw = EventStream.from_unsorted(
-            label, np.rint(np.concatenate(parts)).astype(np.int64), config.duration_s, master)
+        # empties ``parts`` and drops each full-size buffer once the next is made
+        t = np.concatenate(parts)
+        parts.clear()
+        t.sort()  # rounding keeps the order: the rounded times need no second sort
+        stamps = np.rint(t, out=t).astype(np.int64)
+        del t
+        raw = EventStream.from_unsorted(label, stamps, config.duration_s, master)
+        del stamps
         return apply_detector(raw, detector, sub_rng(master, "detector", label))
 
     pairs = config.plan if config.simulate_all_channels else (active,)
@@ -265,14 +271,17 @@ def generate_run(config: ScenarioConfig, op: OperatingPoint | None = None) -> Ru
         t_idl = t_sig + _truncated_laplace(rng_jit, tau_ps, n_both)
         if config.include_umis:
             paths = sample_pair_paths(config.fringe, n_both, rng_umi)
-            t_sig = (t_sig + np.where(paths.signal_long, delay_ps, 0.0))[paths.signal_alive]
-            t_idl = (t_idl + np.where(paths.idler_long, delay_ps, 0.0))[paths.idler_alive]
+            t_sig = np.compress(paths.signal_alive,
+                                t_sig + np.where(paths.signal_long, delay_ps, 0.0))
+            t_idl = np.compress(paths.idler_alive,
+                                t_idl + np.where(paths.idler_long, delay_ps, 0.0))
         lone_s, lone_i = (
             _lone_times(n, rng_pairs, rng_umi, duration_ps, delay_ps, config.include_umis)
             for n in (n_lone_s, n_lone_i))
         # a channel not routed to the signal detector has p_sig = 0: no signal photons
         sig_parts += [t_sig, lone_s]
         idl_parts = [t_idl, lone_i]
+        del t_sig, t_idl, lone_s, lone_i  # held by the part lists alone, which detect empties
         idler_streams[pair.idler_label] = detect(pair.idler_label, idl_parts, config.apd1)
 
     signal_stream = detect(config.signal_stream_label, sig_parts, config.signal_detector())

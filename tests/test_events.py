@@ -90,11 +90,16 @@ def _raw_timestamps(case, duration_ps, rng):
         return np.concatenate([t, [0, 0, duration_ps - 1, duration_ps, duration_ps]])
     if case == "empty":
         return np.empty(0, dtype=np.int64)
+    if case == "presorted":  # the sort is skipped: repeats and both edges still go
+        return np.sort(_raw_timestamps("repeats", duration_ps, rng))
+    if case == "descending":
+        return np.sort(_raw_timestamps("spread", duration_ps, rng))[::-1]
     return np.concatenate([rng.integers(-10**6, 0, 300),
                            rng.integers(duration_ps, 2 * duration_ps, 300)])
 
 
-@pytest.mark.parametrize("case", ["spread", "repeats", "empty", "all_out_of_range"])
+@pytest.mark.parametrize("case", ["spread", "repeats", "empty", "all_out_of_range",
+                                  "presorted", "descending"])
 def test_assemble_timestamps_equals_unique_then_clip(case):
     rng = np.random.default_rng(21)
     for duration_ps in (400, 10**9):
@@ -104,6 +109,18 @@ def test_assemble_timestamps_equals_unique_then_clip(case):
         got = assemble_timestamps(raw, duration_ps)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
+
+
+def test_sorted_caller_array_is_copied_not_frozen():
+    # nothing to sort, repeat or clip: the result must still be a new array
+    raw = np.array([3, 10, 250, 999], dtype=np.int64)
+    for got in (assemble_timestamps(raw, 1000),
+                EventStream.from_unsorted("x", raw, 1e-9, 0).timestamps_ps):
+        assert np.array_equal(got, [3, 10, 250, 999])
+        assert not np.shares_memory(got, raw)
+    assert raw.flags.writeable
+    raw[0] = 4
+    assert list(raw) == [4, 10, 250, 999]
 
 
 # --- window integrals ---

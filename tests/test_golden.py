@@ -1,7 +1,10 @@
 """Golden output digests: the CLI's files at a fixed seed, byte for byte.
 
-A refactor that keeps the order of random draws must keep every digest
-below.  A change that alters the draws re-freezes them and says so in
+``GOLDEN`` holds the CLI's files; ``STREAM_GOLDEN`` holds every detected
+stream of ``generate_run`` over a small grid of scenarios (``STREAM_GRID``),
+which reaches the stream paths no CLI default does: no darks and no
+jitter, heavy dead-time pile-up.  A refactor that keeps the order of
+random draws must keep every digest below.  A change that alters the draws re-freezes them and says so in
 CHANGES.md.  ``manifest.json`` is hashed without its wall-clock
 ``runtime_s``.
 
@@ -22,7 +25,11 @@ import pytest
 
 if __name__ == "__main__":  # run as a script: import this tree's package
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from dataclasses import replace  # noqa: E402
+
 from qdemux import cli  # noqa: E402
+from qdemux.config import load_config  # noqa: E402
+from qdemux.montecarlo import generate_run  # noqa: E402
 
 SEED = "7"
 
@@ -145,6 +152,49 @@ GOLDEN = {
 }
 
 
+def _quiet(det):
+    return replace(det, dark_rate_hz=0.0, timing_jitter_sigma_ps=0.0)
+
+
+# scenario name -> edit of the default scenario, each run for 3 s at seeds 1 and 2
+STREAM_GRID = {
+    "baseline": lambda c: c,
+    "no_umis": lambda c: replace(c, include_umis=False),
+    "800uW": lambda c: replace(c, chip_power_uw=800.0),
+    "unconverted": lambda c: replace(c, convert_signal=False),
+    "no_darks_no_jitter": lambda c: replace(c, apd1=_quiet(c.apd1), apd2=_quiet(c.apd2)),
+    "heavy_dead_time": lambda c: replace(c, apd1=replace(c.apd1, dead_time_us=100.0),
+                                         apd2=replace(c.apd2, dead_time_us=100.0)),
+}
+
+STREAM_GOLDEN = {
+    "800uW":
+        "d414615b6d92f94ec34a3d5aa8bfdd2bedb116b3d3107f5ebf84f248e50b4661",
+    "baseline":
+        "3592b85069432bef72789473db2e1bcec13b5c506df9b4988c1ad3569ba5708d",
+    "heavy_dead_time":
+        "99bf0bc44aee3faf029f45ca38e1846ef2b1da60f23bca797e9028a1c4d19ce8",
+    "no_darks_no_jitter":
+        "f715163be2774b03801ce715045128d379d26ce4bf191cc735dbbc635675b471",
+    "no_umis":
+        "30d0bb183554a71bf04b1780edfea7a615538f1dff6b2e8cd5723926a64f85b7",
+    "unconverted":
+        "b7b29f087f5ac6611d321fffa48fe1831d92cf41c57f895de8b4724933245b86",
+}
+
+
+def stream_digest(name: str) -> str:
+    """Digest of every detected stream (label, then int64 times) of one grid cell."""
+    h = hashlib.sha256()
+    for seed in (1, 2):
+        cfg = STREAM_GRID[name](replace(load_config(None), duration_s=3.0, seed=seed))
+        run = generate_run(cfg)
+        for stream in (run.signal_stream, *run.idler_streams.values()):
+            h.update(stream.label.encode() + b"\0")
+            h.update(stream.timestamps_ps.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
 def _file_digests(outdir: Path) -> dict[str, str]:
     out = {}
     for path in sorted(p for p in outdir.iterdir() if p.is_file()):
@@ -174,7 +224,16 @@ def test_cli_outputs_match_golden_digests(name, tmp_path):
     assert run_digests(name, tmp_path / name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(STREAM_GRID))
+def test_generate_run_streams_match_golden_digests(name):
+    assert stream_digest(name) == STREAM_GOLDEN[name]
+
+
 if __name__ == "__main__":
+    print("STREAM_GOLDEN = {")
+    for name in sorted(STREAM_GRID):
+        print(f'    "{name}":\n        "{stream_digest(name)}",')
+    print("}")
     with tempfile.TemporaryDirectory() as tmp:
         print("GOLDEN = {")
         for name in sorted(COMMANDS):
