@@ -186,9 +186,11 @@ def _cmd_car(args, config: ScenarioConfig, outdir: Path) -> list[str]:
         # no interferometers, so no side peaks: the background starts at half the span
         est = analysis.car_from_histogram(hist, window, background_start_ns=hist.span_ps / 2000.0)
         rows.append([f"{p:.2f}", f"{est.car:.6f}", f"{est.sigma:.6f}",
-                     f"{est.center_counts}", f"{est.background_per_window:.3f}"])
+                     f"{est.center_counts}", f"{est.background_per_window:.3f}",
+                     str(est.lower_bound).lower()])
     _write_csv(outdir / "car_mc.csv",
-               ["pump_uw", "car", "sigma", "center_counts", "background_per_window"],
+               ["pump_uw", "car", "sigma", "center_counts", "background_per_window",
+                "lower_bound"],
                rows)
     return ["car_analytic.csv", "car_mc.csv"]
 

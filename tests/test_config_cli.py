@@ -457,3 +457,17 @@ def test_analyze_car_is_center_over_its_background(tmp_path, delay_ns):
     stats = json.loads((analyze_out / "stats.json").read_text())
     assert not stats["car_lower_bound"]
     assert stats["car"] == stats["center_counts"] / stats["background_per_window"]
+
+
+def test_car_mc_flags_rows_without_background_as_lower_bounds(tmp_path):
+    # at seed 7 the 2 s runs below 800 uW see no background count
+    out = tmp_path / "car"
+    assert cli.main(["car", "--duration", "2", "--points", "2", "--seed", "7",
+                     "--out", str(out)]) == 0
+    lines = (out / "car_mc.csv").read_text().strip().splitlines()
+    assert lines[0].split(",")[-1] == "lower_bound"
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [r["lower_bound"] for r in rows] == ["true"] * 4 + ["false"]
+    for r in rows:
+        no_background = float(r["background_per_window"]) == 0.0
+        assert (r["lower_bound"] == "true") == no_background == (r["sigma"] == "inf")

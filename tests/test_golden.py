@@ -61,7 +61,7 @@ GOLDEN = {
         "car_analytic.csv":
             "05068b7a6b6f9dccdf2fb8d222ed1a64fa4d8c7291eb1331f8c992a7aea211c6",
         "car_mc.csv":
-            "155594ee48ef43c4a6f74d716a7930e248f27ae71bc9a33155f584a4c8eaa731",
+            "316ce58f1df93af01efc697b8bfcd82557382dccd314e219e19330c84023306e",
         "manifest.json":
             "3d0aa75b7046c6c78628f7ed1d753b00ebb2c03458a2c0356fd400e3cb042d27",
     },
