@@ -196,16 +196,18 @@ def _prune_dead_time(t: np.ndarray, dead_ps: int) -> np.ndarray:
 
     An event at least ``dead_ps`` after its predecessor is always kept, as
     the last kept event is no later than that predecessor.  So only the
-    closer events are scanned, in order; a predecessor not among them
-    opened their run and was kept.
+    closer events can go, and the first of each run of them goes: its
+    predecessor opened the run and was kept.  Only the later ones of a run
+    are scanned, in order, starting from the run's opener.
     """
     close = np.flatnonzero(np.diff(t) < dead_ps) + 1
+    chained = close[1:][np.diff(close) == 1]
     kept, prev = [], -1
     # memoryviews make one Python int at a time, not lists of them
-    for i, ti, t_before in zip(memoryview(close), memoryview(t[close]),
-                               memoryview(t[close - 1])):
+    for i, ti, t_opener in zip(memoryview(chained), memoryview(t[chained]),
+                               memoryview(t[chained - 2])):
         if i - 1 != prev:
-            last = t_before
+            last = t_opener
         if ti - last >= dead_ps:
             kept.append(i)
             last = ti
