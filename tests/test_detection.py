@@ -258,9 +258,10 @@ def _reference_detector(stream, spec, rng):
     return np.asarray(kept, dtype=np.int64)
 
 
-@pytest.mark.parametrize("dead_time_us, dark_rate_hz", [(0.0002, 2e7), (0.002, 2e7), (0.002, 3e4)],
+@pytest.mark.parametrize("dead_time_us, dark_rate_hz, n_events",
+                         [(0.0002, 2e7, 200_000), (0.002, 2e7, 200_000), (0.002, 3e4, 2000)],
                          ids=["0.0002", "0.002", "sparse"])
-def test_apply_detector_equals_unique_reference(dead_time_us, dark_rate_hz):
+def test_apply_detector_equals_unique_reference(dead_time_us, dark_rate_hz, n_events):
     # dense: 200 000 events in 0.1 ms, so jitter makes exact repeats and swaps
     # neighbours everywhere; sparse: 2000 events with a 50 ns mean gap against
     # 150 ps of jitter, a few darks, nearly sorted as in a run.  In both, jitter
@@ -269,8 +270,7 @@ def test_apply_detector_equals_unique_reference(dead_time_us, dark_rate_hz):
                         timing_jitter_sigma_ps=150.0)
     rng = np.random.default_rng(4)
     edges = np.concatenate([np.arange(0, 400, 20), 10**8 - 1 - np.arange(0, 400, 20)])
-    n = 200_000 if dark_rate_hz > 1e6 else 2000
-    s = _stream(np.unique(np.concatenate([rng.integers(0, 10**8, n), edges])),
+    s = _stream(np.unique(np.concatenate([rng.integers(0, 10**8, n_events), edges])),
                 duration_s=1e-4)
     out = apply_detector(s, spec, seed=np.random.default_rng(8))
     assert np.array_equal(out.timestamps_ps,

@@ -4,13 +4,13 @@
 stream of ``generate_run`` over a small grid of scenarios (``STREAM_GRID``),
 which reaches the stream paths no CLI default does: no darks and no
 jitter, heavy dead-time pile-up.  A refactor that keeps the order of
-random draws must keep every digest below.  A change that alters the draws re-freezes them and says so in
-CHANGES.md.  ``manifest.json`` is hashed without its wall-clock
-``runtime_s``.
+random draws must keep every digest below.  A change that alters the
+draws re-freezes them and says so in CHANGES.md.  ``manifest.json`` is
+hashed without its wall-clock ``runtime_s``.
 
 ``python tests/test_golden.py`` prints the current tree's digests in the
-layout of ``GOLDEN``, ready to paste when a declared draw change re-freezes
-them.
+layout of ``STREAM_GOLDEN`` and ``GOLDEN``, ready to paste when a declared
+draw change re-freezes them.
 """
 
 import contextlib
