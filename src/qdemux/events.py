@@ -7,10 +7,14 @@ trips are lossless, and sorting is exact.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -261,11 +265,11 @@ def central_window_counts(h: CoincidenceHistogram, window_ns: float,
 # ---------------------------------------------------------------------------
 # Tag-file I/O: CSV of (channel, time_ps) plus a JSON sidecar manifest.
 
-# Rows per block written, and characters per block read (that many rows of
-# 16 characters): large enough that the per-block Python cost vanishes, small
-# enough that one block's text, bytes and digit matrices stay a few MB.
+# Rows per block written, and bytes per block read (that many rows of 16
+# bytes): large enough that the per-block Python cost vanishes, small enough
+# that one block's bytes and digit matrices stay a few MB.
 _BLOCK_ROWS = 16_384
-_BLOCK_CHARS = 16 * _BLOCK_ROWS
+_BLOCK_BYTES = 16 * _BLOCK_ROWS
 _HEADER = "channel,time_ps"
 # The byte parser reads times of at most 18 digits, which int64 always holds;
 # the writer cuts a block at the powers of ten from 10 to 10**18.
@@ -363,10 +367,15 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
     list of strings; ``duration_s``, a positive number; ``seed``, an
     integer; and, if present, ``config_digest``, a string.
 
-    The file is read in blocks of lines.  A block of rows in the form
-    ``write_streams`` writes is parsed as byte matrices in numpy; any other
-    block goes to a str parser with ``int()`` semantics, and a block that
-    parser refuses is searched for its first bad row (see ``_parse_block``).
+    The file is read in binary blocks of whole lines, cut after an LF or a
+    lone CR, never between the CR and LF of a CRLF.  A block whose lines
+    are all blank or in the form ``write_streams`` writes, each ended by
+    CRLF or LF, is parsed as byte matrices in numpy with no decoding.  Any
+    other block (lone CR line ends, labels interleaved at one width as in
+    a time-merged file, times that only ``int()`` reads, a last line
+    without a line end, bytes that are not UTF-8) has its line ends mapped
+    to LF, is decoded and goes to the str parser, and a block that parser
+    refuses is searched for its first bad row (see ``_parse_block``).
 
     Raises ``ValueError`` naming the manifest and the key for a manifest
     that breaks those rules, and naming the manifest if it lists a label
@@ -383,26 +392,34 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
     index = {label: i for i, label in enumerate(labels)}
     if len(index) != len(labels):
         raise ValueError(f"{_manifest_path(path)}: a label appears twice in {labels}")
+    # The labels a row of the byte parser can name, by their UTF-8 bytes: a label with
+    # a CR (a line end) or a lone surrogate (no UTF-8 form) is in no such row.
+    row_index = {}
+    for label, i in index.items():
+        if "\r" not in label:
+            with contextlib.suppress(UnicodeEncodeError):
+                row_index[label.encode()] = i
     pieces = [[np.empty(0, dtype=np.int64)] for _ in labels]
-    with path.open(encoding="utf-8") as fh:
-        try:
-            header = fh.readline().rstrip("\n")
-            if header != _HEADER:
-                raise ValueError(f"{path}: line 1: expected header '{_HEADER}', "
-                                 f"got {header.split(',')}")
-            lineno = 2
-            while block := fh.read(_BLOCK_CHARS):
-                block += fh.readline()  # up to the end of the block's last line
+    with path.open("rb") as fh:
+        blocks = _line_blocks(fh)
+        first, *rest = re.split(rb"\r\n?|\n", next(blocks, b""), maxsplit=1)
+        header = _decoded(path, first)
+        if header != _HEADER:
+            raise ValueError(f"{path}: line 1: expected header '{_HEADER}', "
+                             f"got {header.split(',')}")
+        lineno = 2
+        for block in itertools.chain(rest, blocks):
+            parsed = _parse_runs(block, row_index)
+            if parsed is None:
+                text = _decoded(path, block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
                 try:
-                    parsed = _parse_block(block, index)
+                    parsed = _parse_block(text, index), text.count("\n")
                 except (ValueError, OverflowError, KeyError):
-                    _raise_first_bad_line(path, block, lineno, labels)
-                for i, times in parsed:
-                    pieces[i].append(times)
-                lineno += block.count("\n")
-        except UnicodeDecodeError:  # decoded ahead in chunks: _utf8_text names the byte
-            _utf8_text(path)
-            raise
+                    _raise_first_bad_line(path, text, lineno, labels)
+            runs, lines = parsed
+            for i, times in runs:
+                pieces[i].append(times)
+            lineno += lines
     streams = []
     for label, own in zip(labels, pieces):
         try:
@@ -411,6 +428,34 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return streams, manifest
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """Blocks of about ``_BLOCK_BYTES`` of whole lines; the last may lack its line end.
+
+    A block ends after its last LF, or after its last CR if a byte follows
+    that CR in the block (and so shows it is no CRLF).
+    """
+    carry = b""
+    while data := fh.read(_BLOCK_BYTES):
+        end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        if end:
+            yield carry + memoryview(data)[:end]
+        carry = data[end:] if end else carry + data
+    if carry:
+        yield carry
+
+
+def _decoded(path: Path, data: bytes) -> str:
+    """UTF-8 ``data`` read from ``path``, whose earlier bytes are UTF-8 too.
+
+    A byte that is not UTF-8 is refused naming its line (see ``_utf8_text``).
+    """
+    try:
+        return data.decode()
+    except UnicodeDecodeError:
+        _utf8_text(path)
+        raise
 
 
 def _utf8_text(path: Path) -> str:
@@ -451,16 +496,13 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _parse_block(block: str, index: dict[str, int]) -> list[tuple[int, np.ndarray]]:
-    """(label index, times) pieces of a block of whole lines, in file order.
+    """The str parser: (label index, times) pieces of a block of LF-ended lines.
 
-    There are two parsers, chosen by the block's content.  If every line
-    is ``<label>,<1 to 18 ASCII digits>`` with a manifest label, as
-    ``write_streams`` writes every time below 10**18 ps, the block's UTF-8
-    bytes are cut into runs of lines of one width and first byte, and each
-    run is checked and converted as one byte matrix.  Any other block goes
-    to the str parser, which accepts whatever ``int()`` reads (``+5``,
-    `` 5``, ``5_0``, non-ASCII digits, 19-digit times) and finds the
-    malformed rows.
+    Reads the blocks that the byte parser (``_parse_runs``) refuses, after
+    their line ends are mapped to LF and their bytes decoded.  Blank lines
+    are dropped, a last line may lack its LF, and a time is whatever
+    ``int()`` reads (``+5``, `` 5``, ``5_0``, non-ASCII digits, 19-digit
+    times) and int64 holds.
 
     Raises ``ValueError``, ``OverflowError`` or ``KeyError``, without
     saying where, if any row is malformed.
@@ -469,42 +511,54 @@ def _parse_block(block: str, index: dict[str, int]) -> list[tuple[int, np.ndarra
         block += "\n"
     if block.startswith("\n") or "\n\n" in block:
         block = "".join(line + "\n" for line in block.split("\n") if line)
-    chars = np.frombuffer(block.encode(), dtype=np.uint8)
-    runs = _parse_runs(chars, index)
-    if runs is not None:
-        return runs
-    times, owner = _parse_fields(block, chars, index)
+    times, owner = _parse_fields(block, np.frombuffer(block.encode(), dtype=np.uint8), index)
     return [(i, times[owner == i]) for i in index.values()]
 
 
-def _parse_runs(chars: np.ndarray, index: dict[str, int]) -> list[tuple[int, np.ndarray]] | None:
-    """The byte parser of ``_parse_block``; None if a line is not in the writer's form."""
+def _parse_runs(block: bytes,
+                index: dict[bytes, int]) -> tuple[list[tuple[int, np.ndarray]], int] | None:
+    """The byte parser: (label index, times) pieces of a block of whole lines, in file
+    order, and its number of lines.
+
+    Every line must be blank or ``<label>,<1 to 18 ASCII digits>`` with a
+    label of ``index``, as ``write_streams`` writes every time below
+    10**18 ps, and end in LF or CRLF.  The lines are cut into runs of one
+    width and first byte, and each run is checked and converted as one
+    byte matrix.  None if a line breaks these rules.
+    """
+    if not block.endswith(b"\n"):
+        return None if block else ([], 0)
+    chars = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(chars == ord("\n")) + 1
-    if not ends.size:
-        return []
     starts = np.concatenate(([0], ends[:-1]))
     widths = ends - starts
     heads = chars[starts]
     cuts = (np.flatnonzero((widths[1:] != widths[:-1]) | (heads[1:] != heads[:-1])) + 1).tolist()
     runs = []
     for lo, hi in zip([0, *cuts], [*cuts, ends.size]):
+        if widths[lo] <= 2 and heads[lo] in (ord("\r"), ord("\n")):
+            continue  # blank lines: LF, or CRLF
         run = _parse_run(chars[starts[lo]:ends[hi - 1]].reshape(hi - lo, widths[lo]), index)
         if run is None:
             return None
         runs.append(run)
-    return runs
+    return runs, ends.size
 
 
-def _parse_run(rows: np.ndarray, index: dict[str, int]) -> tuple[int, np.ndarray] | None:
-    """(label index, times) of rows ``<label>,<digits>LF`` of one width; None if not."""
+def _parse_run(rows: np.ndarray, index: dict[bytes, int]) -> tuple[int, np.ndarray] | None:
+    """(label index, times) of rows ``<label>,<digits>`` of one width, all ended
+    by LF or all by CRLF; None if not."""
     label, comma, _ = rows[0].tobytes().partition(b",")
-    i = index.get(label.decode()) if comma else None
-    prefix = len(label) + 1  # the first row's label and comma, which every row must repeat
-    digits = rows.shape[1] - prefix - 1
+    i = index.get(label) if comma else None
+    # the first row's label and comma, and its line end, which every row must repeat
+    prefix = len(label) + 1
+    suffix = 2 if rows[0, -2] == ord("\r") else 1
+    digits = rows.shape[1] - prefix - suffix
     if (i is None or not 1 <= digits <= _MAX_DIGITS
-            or not (rows[:, :prefix] == rows[0, :prefix]).all()):
+            or not (rows[:, :prefix] == rows[0, :prefix]).all()
+            or not (rows[:, -suffix:] == rows[0, -suffix:]).all()):
         return None
-    values = rows[:, prefix:-1] - ord("0")  # a non-digit byte wraps past 9
+    values = rows[:, prefix:-suffix] - ord("0")  # a non-digit byte wraps past 9
     if (values > 9).any():
         return None
     times = values[:, 0].astype(np.int64)
@@ -516,7 +570,7 @@ def _parse_run(rows: np.ndarray, index: dict[str, int]) -> tuple[int, np.ndarray
 
 def _parse_fields(block: str, chars: np.ndarray,
                   index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The str parser of ``_parse_block``: times and label indices of every row."""
+    """The core of the str parser: times and label indices of every row."""
     separators = chars[(chars == ord(",")) | (chars == ord("\n"))]
     if not (separators[0::2] == ord(",")).all() or not (separators[1::2] == ord("\n")).all():
         raise ValueError("not one comma per row")

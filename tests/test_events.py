@@ -456,6 +456,122 @@ def test_bad_last_row_without_line_break_names_its_line(tmp_path):
         read_streams(path)
 
 
+def _streams_equal(streams, back):
+    for orig, loaded in zip(streams, back, strict=True):
+        assert loaded.label == orig.label
+        assert np.array_equal(loaded.timestamps_ps, orig.timestamps_ps)
+
+
+def _refuse_str_parser(*args):
+    raise AssertionError("a block of rows in the writer's form reached the str parser")
+
+
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+def test_writer_rows_never_reach_the_str_parser(tmp_path, monkeypatch, line_end):
+    crossing = _every_digit_width_streams()[0].timestamps_ps  # every width from 1 to 18 digits
+    rng = np.random.default_rng(17)
+    long = np.sort(rng.choice(10**15, 3 * events._BLOCK_ROWS, replace=False))
+    streams = [EventStream("S2'", np.union1d(crossing, long), 2e6, 4),
+               EventStream("I1", crossing[::3], 2e6, 4),
+               EventStream("I2", long[::2] + 1, 2e6, 4)]
+    path = write_streams(streams, tmp_path / "tags.csv")
+    path.write_bytes(path.read_bytes().replace(b"\r\n", line_end))
+    assert path.stat().st_size > 3 * events._BLOCK_BYTES
+    monkeypatch.setattr(events, "_parse_fields", _refuse_str_parser)
+    back, _ = read_streams(path)
+    _streams_equal(streams, back)
+
+
+def test_crlf_split_between_read_blocks(tmp_path, monkeypatch):
+    header, row = b"channel,time_ps\r\n", b"A,1000000\r\n"
+    # LF-only blank lines after the header put the CR of a row at the last byte of the
+    # first read block and its LF at the first byte of the next
+    blanks = (events._BLOCK_BYTES + 1 - len(header)) % len(row)
+    times = np.arange(1_000_000, 1_000_000 + events._BLOCK_BYTES // 10)
+    data = header + b"\n" * blanks + b"".join(b"A,%d\r\n" % t for t in times)
+    assert data[events._BLOCK_BYTES - 1:events._BLOCK_BYTES + 1] == b"\r\n"
+    path = tmp_path / "tags.csv"
+    path.write_bytes(data)
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "labels": ["A"]}')
+    with monkeypatch.context() as patch:
+        patch.setattr(events, "_parse_fields", _refuse_str_parser)
+        back, _ = read_streams(path)
+    assert np.array_equal(back[0].timestamps_ps, times)
+    # the split CRLF ends one line: the first row after it is named at its own line
+    after = events._BLOCK_BYTES + 1
+    path.write_bytes(data[:after] + b"A,x" + data[data.index(b"\r\n", after):])
+    line = data[:after].count(b"\n") + 1
+    with pytest.raises(ValueError, match=rf"tags\.csv: line {line}: time_ps 'x' is not an integer"):
+        read_streams(path)
+
+
+def test_cr_only_file_names_bad_row_past_first_block(tmp_path):
+    streams = _block_spanning_streams()
+    path = write_streams(streams, tmp_path / "tags.csv")
+    lines = path.read_bytes().split(b"\r\n")
+    bad_line = 2 * events._BLOCK_ROWS + 11  # 1-based
+    lines[bad_line - 1] = b"I2,5e2"
+    path.write_bytes(b"\r".join(lines))
+    assert path.stat().st_size > 3 * events._BLOCK_BYTES
+    with pytest.raises(ValueError, match=rf"tags\.csv: line {bad_line}: time_ps '5e2' is not"):
+        read_streams(path)
+
+
+@pytest.mark.parametrize("rows, times", [
+    (b"A,100\r\nA,1000\nA,2000\nA,30000\r\n", [100, 1000, 2000, 30000]),
+    (b"A,0099\nA,100\r\nA,101\r\n", [99, 100, 101]),
+], ids=["crlf-first", "lf-first"])
+def test_rows_of_one_width_with_and_without_cr_read_back(tmp_path, rows, times):
+    path = tmp_path / "tags.csv"
+    path.write_bytes(b"channel,time_ps\r\n" + rows)
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "labels": ["A"]}')
+    back, _ = read_streams(path)
+    assert list(back[0].timestamps_ps) == times
+
+
+def test_writer_row_with_non_utf8_label_names_its_line(tmp_path):
+    path = write_streams(_block_spanning_streams(), tmp_path / "tags.csv")
+    data = path.read_bytes()
+    bad_line = 2 * events._BLOCK_ROWS + 11  # 1-based, an I2 row
+    at = sum(len(line) + 2 for line in data.split(b"\r\n")[:bad_line - 1])
+    assert data[at:at + 3] == b"I2,"
+    path.write_bytes(data[:at] + b"I\xff" + data[at + 2:])
+    with pytest.raises(ValueError, match=rf"tags\.csv: line {bad_line}: not UTF-8 text: "
+                                         rf"invalid start byte at byte {at + 1}$"):
+        read_streams(path)
+
+
+@pytest.mark.parametrize("labels, rows, message", [
+    (["A", "\ud800"], b"A,5\r\n", None),  # a lone surrogate has no UTF-8 form
+    (["A\rB"], b"A\rB,5\r\n", "line 2: expected 2 fields, got 1"),  # CR ends a line
+])
+def test_label_no_utf8_row_can_hold(tmp_path, labels, rows, message):
+    path = tmp_path / "tags.csv"
+    path.write_bytes(b"channel,time_ps\r\n" + rows)
+    (tmp_path / "tags.manifest.json").write_text(
+        json.dumps({"duration_s": 1.0, "seed": 0, "labels": labels}))
+    if message is None:
+        back, _ = read_streams(path)
+        assert [list(s.timestamps_ps) for s in back] == [[5], []]
+    else:
+        with pytest.raises(ValueError, match=rf"tags\.csv: {message}$"):
+            read_streams(path)
+
+
+def test_time_merged_file_reads_back(tmp_path):
+    # rows of every stream merged in time order, labels interleaved, as a time tagger
+    # exports them
+    streams = _block_spanning_streams()
+    path = write_streams(streams, tmp_path / "tags.csv")
+    rows = sorted((int(t), s.label) for s in streams for t in s.timestamps_ps)
+    path.write_bytes(b"channel,time_ps\r\n"
+                     + "".join(f"{label},{t}\r\n" for t, label in rows).encode())
+    back, _ = read_streams(path)
+    _streams_equal(streams, back)
+
+
 @pytest.mark.parametrize("labels, message", [
     (["A", "B", "A"], r"stream 'A': label appears twice"),
     (["A", "x,y"], r"stream 'x,y': a label must not contain a comma"),
