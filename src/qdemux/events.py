@@ -141,21 +141,24 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def histogram(a: EventStream, b: EventStream, cfg: CoincidenceConfig) -> CoincidenceHistogram:
-    """Histogram of all pairwise delays (b - a) within the configured span.
+    """Histogram of all pairwise delays (b - a) in bins centred within the span.
 
-    Every event of ``a`` is paired with every event of ``b`` inside
-    +-span (start/stop-free tagger semantics), via one linear merge pass
-    over the sorted streams.
+    Every event of ``a`` is paired with every event of ``b`` (start/stop-free
+    tagger semantics) whose delay rounds to a bin centre within +-span, via
+    one linear merge pass over the sorted streams.  Pairs are taken out to
+    the outer edge of the outermost bins, so every bin, those included, is
+    a full bin wide.
     """
     bin_ps = int(cfg.histogram_bin_ps)
     span_ps = int(round(cfg.histogram_span_ns * 1000.0))
     n_half = span_ps // bin_ps
     centers = np.arange(-n_half, n_half + 1, dtype=np.int64) * bin_ps
+    reach_ps = n_half * bin_ps + bin_ps // 2  # the outer edge of the outermost bins
 
     ta = a.timestamps_ps
     tb = b.timestamps_ps
-    lo = np.searchsorted(tb, ta - span_ps, side="left")
-    hi = np.searchsorted(tb, ta + span_ps, side="right")
+    lo = np.searchsorted(tb, ta - reach_ps, side="left")
+    hi = np.searchsorted(tb, ta + reach_ps, side="right")
     per = (hi - lo).astype(np.int64)
     total = int(per.sum())
     if total:

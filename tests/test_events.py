@@ -58,6 +58,30 @@ def test_histogram_mirror_symmetry():
     assert h_ab.total_pairs_examined == h_ba.total_pairs_examined
 
 
+def test_edge_bins_are_full_bins():
+    # about 1.6e4 expected pairs per bin: a half-width edge bin would read 8e3, 60 sigma low
+    rng = np.random.default_rng(31)
+    duration_s, n = 1e-3, 400_000
+    a, b = (EventStream(label, np.unique(rng.integers(0, 10**9, n)), duration_s, 0)
+            for label in "ab")
+    h = histogram(a, b, CFG)
+    interior = h.counts[1:-1].mean()
+    assert interior > 1e4
+    assert np.all(np.abs(h.counts[[0, -1]] - interior) < 5.0 * np.sqrt(interior))
+    h_ba = histogram(b, a, CFG)
+    assert np.array_equal(h.counts, h_ba.counts[::-1])
+    assert h.total_pairs_examined == h_ba.total_pairs_examined
+
+
+def test_delays_at_the_outer_bin_edges():
+    # 5050 ps is half a bin past the last centre (5000 ps) and rounds to it (half to even)
+    a = EventStream("a", np.array([10_000], dtype=np.int64), 1e-6, 0)
+    b = EventStream("b", 10_000 + np.array([-5_051, -5_050, 5_049, 5_050, 5_051]), 1e-6, 0)
+    h = histogram(a, b, CFG)
+    assert h.counts[0] == 1 and h.counts[-1] == 2 and h.counts.sum() == 3
+    assert h.total_pairs_examined == 3
+
+
 def test_histogram_counts_known_delays():
     a = EventStream("a", np.array([10_000, 50_000], dtype=np.int64), 1e-6, 0)
     b = EventStream("b", np.array([10_800, 49_200], dtype=np.int64), 1e-6, 0)

@@ -79,7 +79,7 @@ GOLDEN = {
         "fringe_S3_after.csv":
             "8dbb5a5c1eb8a9f499fe173dabc399b7b1e417e25599b36d78b6061fa25d6941",
         "fringe_S3_before.csv":
-            "37764fcf2dea63e92318a3f51b73e47d3aff08e2d806df734619d1785e434a71",
+            "cd6f03094538e78f9ee03bff69e0c596c06a20af63a56bd8660f9a0a8b82fac2",
         "manifest.json":
             "c6d05b8770fcd10870aaeaf206942b0740b197222ecc110ce89e1535c09fb364",
         "pump_solutions.json":
@@ -97,9 +97,9 @@ GOLDEN = {
         "tags_S3.manifest.json":
             "41bae808bef81e9b725c138d76d1ebfaffc6e4bc2d2a9d548f207bb841ca10e0",
         "visibility_table.json":
-            "86f98139941624208de75b97f486eff6d906f69ef2f0a1beab811d87a08854e5",
+            "174231ae51103cedca13a29d4aeea0734274e6129d4525e852faf55aabed7d08",
         "visibility_table.txt":
-            "d9e33615b0b8a81e2c67dc2fc07db1b95f8335bca0fe4c170c4ce4d0610e490c",
+            "1b673fd8028db410e1c064cda980aacc3d8baa005758a57778753c638b473851",
     },
     "fringe": {
         "fringe_S2.csv":
