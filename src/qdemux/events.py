@@ -373,12 +373,13 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
     The file is read in binary blocks of whole lines, cut after an LF or a
     lone CR, never between the CR and LF of a CRLF.  A block whose lines
     are all blank or in the form ``write_streams`` writes, each ended by
-    CRLF or LF, is parsed as byte matrices in numpy with no decoding.  Any
-    other block (lone CR line ends, labels interleaved at one width as in
-    a time-merged file, times that only ``int()`` reads, a last line
-    without a line end, bytes that are not UTF-8) has its line ends mapped
-    to LF, is decoded and goes to the str parser, and a block that parser
-    refuses is searched for its first bad row (see ``_parse_block``).
+    CRLF or LF (or, in a block without LF, by CR), is parsed as byte
+    matrices in numpy with no decoding.  Any other block (LF and lone CR
+    line ends in one block, labels interleaved at one width as in a
+    time-merged file, times that only ``int()`` reads, a last line without
+    a line end, bytes that are not UTF-8) has its line ends mapped to LF,
+    is decoded and goes to the str parser, and a block that parser refuses
+    is searched for its first bad row (see ``_parse_block``).
 
     Raises ``ValueError`` naming the manifest and the key for a manifest
     that breaks those rules, and naming the manifest if it lists a label
@@ -525,14 +526,16 @@ def _parse_runs(block: bytes,
 
     Every line must be blank or ``<label>,<1 to 18 ASCII digits>`` with a
     label of ``index``, as ``write_streams`` writes every time below
-    10**18 ps, and end in LF or CRLF.  The lines are cut into runs of one
-    width and first byte, and each run is checked and converted as one
-    byte matrix.  None if a line breaks these rules.
+    10**18 ps, and end in LF or CRLF, or, in a block without LF, in CR.
+    The lines are cut into runs of one width and first byte, and each run
+    is checked and converted as one byte matrix.  None if a line breaks
+    these rules.
     """
-    if not block.endswith(b"\n"):
+    line_end = b"\n" if b"\n" in block else b"\r"
+    if not block.endswith(line_end):
         return None if block else ([], 0)
     chars = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(chars == ord("\n")) + 1
+    ends = np.flatnonzero(chars == ord(line_end)) + 1
     starts = np.concatenate(([0], ends[:-1]))
     widths = ends - starts
     heads = chars[starts]
@@ -540,7 +543,7 @@ def _parse_runs(block: bytes,
     runs = []
     for lo, hi in zip([0, *cuts], [*cuts, ends.size]):
         if widths[lo] <= 2 and heads[lo] in (ord("\r"), ord("\n")):
-            continue  # blank lines: LF, or CRLF
+            continue  # blank lines: LF, CRLF or CR
         run = _parse_run(chars[starts[lo]:ends[hi - 1]].reshape(hi - lo, widths[lo]), index)
         if run is None:
             return None
@@ -550,7 +553,7 @@ def _parse_runs(block: bytes,
 
 def _parse_run(rows: np.ndarray, index: dict[bytes, int]) -> tuple[int, np.ndarray] | None:
     """(label index, times) of rows ``<label>,<digits>`` of one width, all ended
-    by LF or all by CRLF; None if not."""
+    by CRLF or all by one byte (LF, or CR); None if not."""
     label, comma, _ = rows[0].tobytes().partition(b",")
     i = index.get(label) if comma else None
     # the first row's label and comma, and its line end, which every row must repeat

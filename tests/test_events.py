@@ -490,7 +490,7 @@ def _refuse_str_parser(*args):
     raise AssertionError("a block of rows in the writer's form reached the str parser")
 
 
-@pytest.mark.parametrize("line_end", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\n", b"\r"], ids=["crlf", "lf", "cr"])
 def test_writer_rows_never_reach_the_str_parser(tmp_path, monkeypatch, line_end):
     crossing = _every_digit_width_streams()[0].timestamps_ps  # every width from 1 to 18 digits
     rng = np.random.default_rng(17)
