@@ -440,14 +440,15 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
     A block ends after its last LF, or after its last CR if a byte follows
     that CR in the block (and so shows it is no CRLF).
     """
-    carry = b""
+    pending = []  # what was read after the last cut, joined once (a line may be long)
     while data := fh.read(_BLOCK_BYTES):
         end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
         if end:
-            yield carry + memoryview(data)[:end]
-        carry = data[end:] if end else carry + data
-    if carry:
-        yield carry
+            yield b"".join([*pending, memoryview(data)[:end]])
+            pending = []
+        pending.append(data[end:])
+    if rest := b"".join(pending):
+        yield rest
 
 
 def _decoded(path: Path, data: bytes) -> str:

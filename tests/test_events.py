@@ -530,6 +530,16 @@ def test_crlf_split_between_read_blocks(tmp_path, monkeypatch):
         read_streams(path)
 
 
+def test_line_longer_than_read_blocks_names_its_line(tmp_path):
+    path = tmp_path / "tags.csv"
+    path.write_bytes(b"channel,time_ps\r\nA,1\r\n" + b"x" * (3 * events._BLOCK_BYTES)
+                     + b"\r\nA,2\r\n")
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "labels": ["A"]}')
+    with pytest.raises(ValueError, match=r"tags\.csv: line 3: expected 2 fields, got 1$"):
+        read_streams(path)
+
+
 def test_cr_only_file_names_bad_row_past_first_block(tmp_path):
     streams = _block_spanning_streams()
     path = write_streams(streams, tmp_path / "tags.csv")
