@@ -8,6 +8,7 @@ trips are lossless, and sorting is exact.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import re
@@ -415,7 +416,7 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
         for block in itertools.chain(rest, blocks):
             parsed = _parse_runs(block, row_index)
             if parsed is None:
-                text = _decoded(path, block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+                text = _decoded(path, block)
                 try:
                     parsed = _parse_block(text, index), text.count("\n")
                 except (ValueError, OverflowError, KeyError):
@@ -437,8 +438,8 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
     """Blocks of about ``_BLOCK_BYTES`` of whole lines; the last may lack its line end.
 
-    A block ends after its last LF, or after its last CR if a byte follows
-    that CR in the block (and so shows it is no CRLF).
+    A block ends after the last LF of a read, or after its last CR if that
+    is not the read's last byte (the byte after it shows it is no CRLF's).
     """
     pending = []  # what was read after the last cut, joined once (a line may be long)
     while data := fh.read(_BLOCK_BYTES):
@@ -452,12 +453,13 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
 
 
 def _decoded(path: Path, data: bytes) -> str:
-    """UTF-8 ``data`` read from ``path``, whose earlier bytes are UTF-8 too.
+    """UTF-8 ``data`` read from ``path``, its CRLF and CR line ends mapped to LF.
 
-    A byte that is not UTF-8 is refused naming its line (see ``_utf8_text``).
+    The bytes of ``path`` before ``data`` must be UTF-8: a byte of ``data``
+    that is not is refused naming its line (see ``_utf8_text``).
     """
     try:
-        return data.decode()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError:
         _utf8_text(path)
         raise
