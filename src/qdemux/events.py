@@ -93,17 +93,15 @@ def assemble_timestamps(timestamps_ps: np.ndarray, duration_ps: int) -> np.ndarr
     Sorted input, as ``generate_run`` and ``apply_detector`` pass, is not
     sorted again: on 1.15 M sorted int64 timestamps the check for a descent
     takes 0.8 ms and ``np.sort`` 16 ms (numpy 2.4.6, one core of a 2-core
-    Xeon).  The clip is two binary searches and the repeats one comparison
-    of neighbours (``np.unique`` on int64 is a hash table in numpy 2.x).
+    Xeon).  The clip is two binary searches; the rare repeats are found as
+    indices by one comparison of neighbours, and deleted if there are any.
     """
     t = np.asarray(timestamps_ps, dtype=np.int64)
     if np.any(t[1:] < t[:-1]):
         t = np.sort(t)
     t = t[np.searchsorted(t, 0):np.searchsorted(t, duration_ps)]
-    keep = np.empty(t.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(t[1:], t[:-1], out=keep[1:])
-    return t[keep]
+    repeats = np.flatnonzero(t[1:] == t[:-1])
+    return np.delete(t, repeats + 1) if repeats.size else t.copy()
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,11 @@ def histogram(a: EventStream, b: EventStream, cfg: CoincidenceConfig) -> Coincid
     """Histogram of all pairwise delays (b - a) in bins centred within the span.
 
     Every event of ``a`` is paired with every event of ``b`` (start/stop-free
-    tagger semantics) whose delay rounds to a bin centre within +-span, via
-    one linear merge pass over the sorted streams.  Pairs are taken out to
-    the outer edge of the outermost bins, so every bin, those included, is
-    a full bin wide.
+    tagger semantics) whose delay rounds to a bin centre within +-span, out
+    to the outer edge of the outermost bins, so every bin is a full bin
+    wide.  Each event of ``a`` costs one binary search for its window's
+    start; the rest runs only on windows that hold an event of ``b`` (1-3 %
+    of them at the baseline).
     """
     bin_ps = int(cfg.histogram_bin_ps)
     span_ps = int(round(cfg.histogram_span_ns * 1000.0))
@@ -159,12 +158,13 @@ def histogram(a: EventStream, b: EventStream, cfg: CoincidenceConfig) -> Coincid
     ta = a.timestamps_ps
     tb = b.timestamps_ps
     lo = np.searchsorted(tb, ta - reach_ps, side="left")
-    hi = np.searchsorted(tb, ta + reach_ps, side="right")
-    per = (hi - lo).astype(np.int64)
+    held = lo < tb.size
+    held[held] = tb[lo[held]] <= ta[held] + reach_ps
+    ta, lo = ta[held], lo[held]
+    per = np.searchsorted(tb, ta + reach_ps, side="right") - lo
     total = int(per.sum())
     if total:
-        nz = per > 0
-        idx = _ranges(lo[nz], per[nz])
+        idx = _ranges(lo, per)
         delays = tb[idx] - np.repeat(ta, per)
         bins = np.rint(delays / bin_ps).astype(np.int64)
         keep = np.abs(bins) <= n_half

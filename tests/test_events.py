@@ -91,6 +91,69 @@ def test_histogram_counts_known_delays():
     assert h.counts[np.nonzero(h.centers_ps == -800)[0][0]] == 1
 
 
+def _all_pairs_histogram(ta, tb, cfg):
+    """Reference: the delay of every (a, b) pair, examined within the reach, counted in a bin."""
+    bin_ps = cfg.histogram_bin_ps
+    n_half = int(round(cfg.histogram_span_ns * 1000.0)) // bin_ps
+    reach_ps = n_half * bin_ps + bin_ps // 2
+    delays = (np.asarray(tb, dtype=np.int64)[None, :]
+              - np.asarray(ta, dtype=np.int64)[:, None]).ravel()
+    delays = delays[np.abs(delays) <= reach_ps]
+    bins = np.rint(delays / bin_ps).astype(np.int64)
+    bins = bins[np.abs(bins) <= n_half]
+    return np.bincount(bins + n_half, minlength=2 * n_half + 1), delays.size
+
+
+_EDGE_A = np.arange(1, 9) * 100_000
+
+
+def _edge_case_streams(case, reach_ps, rng):
+    if case == "a empty":
+        return np.empty(0, np.int64), np.unique(rng.integers(0, 10**6, 300))
+    if case == "b empty":
+        return np.unique(rng.integers(0, 10**6, 300)), np.empty(0, np.int64)
+    if case == "b alone at and one past the reach":
+        # each a event has a window holding at most this one b event
+        offsets = [-reach_ps - 1, -reach_ps, reach_ps, reach_ps + 1] * 2
+        return _EDGE_A, _EDGE_A + np.array(offsets)
+    if case == "b at and one past the reach beside others":
+        offsets = np.array([-reach_ps - 1, -reach_ps, -7, 0, 9, reach_ps, reach_ps + 1])
+        return _EDGE_A, np.unique((_EDGE_A[:, None] + offsets).ravel())
+    if case == "60 b events in one window":
+        return np.array([50_000, 500_000]), 50_000 + np.arange(-30, 30) * 160
+    if case == "last b in the last window":
+        ta = np.unique(rng.integers(20_000, 10**6, 200))
+        return ta, np.append(np.unique(rng.integers(0, 10**5, 100)), ta[-1] + reach_ps)
+    if case == "window cut off by the stream start":
+        return np.array([0, 17, 4_000, 30_000]), np.array([0, 3, 2_500, 5_066, 9_000])
+    rate = {"random sparse": 300, "random dense": 3_000}[case]
+    return (np.unique(rng.integers(0, 10**6, rate)), np.unique(rng.integers(0, 10**6, rate)))
+
+
+@pytest.mark.parametrize("cfg, reach_ps", [
+    (CFG, 5_050), (CoincidenceConfig(0.8, 160, 20.0), 20_080),
+], ids=["50 bins a side", "125 bins a side"])
+@pytest.mark.parametrize("case", [
+    "a empty", "b empty", "b alone at and one past the reach",
+    "b at and one past the reach beside others", "60 b events in one window",
+    "last b in the last window", "window cut off by the stream start",
+    "random sparse", "random dense",
+])
+def test_histogram_equals_all_pairs_reference(case, cfg, reach_ps):
+    # reach: n_half bins a side plus half a bin, the outer edge of the outermost bin
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        ta, tb = _edge_case_streams(case, reach_ps, rng)
+        a, b = EventStream("a", ta, 1e-5, 0), EventStream("b", tb, 1e-5, 0)
+        counts, examined = _all_pairs_histogram(ta, tb, cfg)
+        h = histogram(a, b, cfg)
+        assert np.array_equal(h.counts, counts)
+        assert h.total_pairs_examined == examined
+        h_ba = histogram(b, a, cfg)
+        assert np.array_equal(h_ba.counts, counts[::-1])
+        assert h_ba.total_pairs_examined == examined
+
+
 def test_stream_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         EventStream("x", np.array([5, 5], dtype=np.int64), 1.0, 0)
