@@ -20,17 +20,16 @@ from scipy.integrate import quad
 from qdemux import analysis, cli, detection, franson, sfg
 from qdemux.config import load_config
 
-from qdemux.events import CoincidenceConfig, histogram, read_streams
+from qdemux.events import histogram, read_streams
 from qdemux.franson import FringeModel, outcome_distribution
 from qdemux.montecarlo import (
     demux_crosstalk,
     detection_arms,
     fringe_scan,
     generate_run,
-    sub_seed,
 )
-from qdemux import ring_source
-from qdemux.ring_source import RingSpectrumModel
+
+import criterion8
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -208,60 +207,12 @@ def test_criterion_08_car_shape_and_monte_carlo_agreement(config):
                                      config.coincidence.window_ns, powers)
     shift_ok = powers[imax] > powers[int(np.argmax(car_before))]
 
-    # (c) Monte Carlo CAR against the analytic curve, 2 sigma at 5 powers.
-    # Cross-check scenario: negligible correlation time so the window
-    # captures all true pairs, no dead time, elevated darks and a wide
-    # histogram span for a well-measured accidental floor, and a window
-    # that is an exact odd multiple of the bin so window integrals are
-    # not quantized.
-    base = replace(
-        config,
-        ring=RingSpectrumModel(fsr_ghz=2000.0, fwhm_mhz=24500.0, q_factor=1e4),
-        apd1=replace(config.apd1, dark_rate_hz=20000.0, dead_time_us=0.0,
-                     timing_jitter_sigma_ps=0.0),
-        apd2=replace(config.apd2, dark_rate_hz=20000.0, dead_time_us=0.0,
-                     timing_jitter_sigma_ps=0.0),
-        coincidence=CoincidenceConfig(window_ns=0.8, histogram_bin_ps=160,
-                                      histogram_span_ns=20.0),
-        include_umis=False,
-        simulate_all_channels=False,
-    )
-    arm_sig8, arm_idl8 = detection_arms(base)
-    window_ns = base.coincidence.window_ns
-    duration = 60.0
-    bg_start_ns = 2.5
-    mc_ok = True
-    details = []
-    for p in (50.0, 100.0, 200.0, 400.0, 800.0):
-        cfg = replace(base, chip_power_uw=p, duration_s=duration,
-                      seed=sub_seed(config.seed, "acceptance8", str(p)))
-        run = generate_run(cfg)
-        hist = histogram(run.signal_stream, run.active_idler_stream, cfg.coincidence)
-        est = analysis.car_from_histogram(hist, window_ns,
-                                          background_start_ns=bg_start_ns)
-        expected = float(detection.car_curve(cfg.rates, arm_sig8, arm_idl8,
-                                             window_ns, p))
-        # the measured center window holds true plus accidental coincidences,
-        # the analytic ratio counts true only: compare against expected + 1.
-        # sigma of the estimator under the model (expected counts, not the
-        # noisy observed ones): standard practice for a cross-validation pull
-        s_sig = ring_source.singles_rate(cfg.rates, p, "signal",
-                                         arm_sig8.efficiency(),
-                                         cfg.apd2.dark_rate_hz)
-        s_idl = ring_source.singles_rate(cfg.rates, p, "idler",
-                                         arm_idl8.efficiency(),
-                                         cfg.apd1.dark_rate_hz)
-        acc_per_window = detection.accidental_rate(s_sig, s_idl, window_ns)
-        c_true = arm_sig8.efficiency() * arm_idl8.efficiency() \
-            * cfg.rates.pair_coefficient * p**2
-        bg_width_ns = 2.0 * (base.coincidence.histogram_span_ns - bg_start_ns)
-        e_center = (c_true + acc_per_window) * duration
-        e_bg = acc_per_window * (bg_width_ns / window_ns) * duration
-        sigma = (expected + 1.0) * np.sqrt(1.0 / e_center + 1.0 / e_bg)
-        pull = abs(est.car - (expected + 1.0)) / sigma
-        mc_ok &= pull <= 2.0
-        details.append(f"P={p:.0f}: mc {est.car:.2f} vs {expected + 1.0:.2f} "
-                       f"+-{sigma:.2f} ({pull:.2f} sigma)")
+    # (c) Monte Carlo CAR against the analytic curve, 2 sigma at 5 powers, in
+    # criterion8.py's cross-check scenario (its pull study runs it over seeds)
+    points = criterion8.cross_check(config, config.seed)
+    mc_ok = all(abs(pt.pull) <= criterion8.GATE_SIGMA for pt in points)
+    details = [f"P={pt.power_uw:.0f}: mc {pt.car_mc:.2f} vs {pt.car_expected:.2f} "
+               f"+-{pt.sigma:.2f} ({abs(pt.pull):.2f} sigma)" for pt in points]
 
     ok = interior and unimodal and shift_ok and mc_ok
     assert _report(
