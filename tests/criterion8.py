@@ -20,10 +20,11 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from multiprocessing import Pool
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import kstest
 
 if __name__ == "__main__":  # run as a script: import this tree's package
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -37,28 +38,6 @@ POWERS_UW = (50.0, 100.0, 200.0, 400.0, 800.0)
 DURATION_S = 60.0
 BACKGROUND_START_NS = 2.5
 GATE_SIGMA = 2.0
-
-
-def cross_check_scenario(config):
-    """The baseline made a clean cross-check of the CAR law.
-
-    Negligible correlation time so the window captures all true pairs, no
-    dead time, elevated darks and a wide histogram span for a well-measured
-    accidental floor, and a window that is an exact odd multiple of the bin
-    so window integrals are not quantized.
-    """
-    return replace(
-        config,
-        ring=RingSpectrumModel(fsr_ghz=2000.0, fwhm_mhz=24500.0, q_factor=1e4),
-        apd1=replace(config.apd1, dark_rate_hz=20000.0, dead_time_us=0.0,
-                     timing_jitter_sigma_ps=0.0),
-        apd2=replace(config.apd2, dark_rate_hz=20000.0, dead_time_us=0.0,
-                     timing_jitter_sigma_ps=0.0),
-        coincidence=CoincidenceConfig(window_ns=0.8, histogram_bin_ps=160,
-                                      histogram_span_ns=20.0),
-        include_umis=False,
-        simulate_all_channels=False,
-    )
 
 
 @dataclass(frozen=True)
@@ -76,8 +55,25 @@ class CarPoint:
 
 
 def cross_check(config, master_seed, duration_s=DURATION_S):
-    """Monte Carlo against analytic CAR at each of ``POWERS_UW``."""
-    base = cross_check_scenario(config)
+    """Monte Carlo against analytic CAR at each of ``POWERS_UW``.
+
+    The scenario has negligible correlation time so the window captures all
+    true pairs, no dead time, elevated darks and a wide histogram span for a
+    well-measured accidental floor, and a window that is an exact odd
+    multiple of the bin so window integrals are not quantized.
+    """
+    base = replace(
+        config,
+        ring=RingSpectrumModel(fsr_ghz=2000.0, fwhm_mhz=24500.0, q_factor=1e4),
+        apd1=replace(config.apd1, dark_rate_hz=20000.0, dead_time_us=0.0,
+                     timing_jitter_sigma_ps=0.0),
+        apd2=replace(config.apd2, dark_rate_hz=20000.0, dead_time_us=0.0,
+                     timing_jitter_sigma_ps=0.0),
+        coincidence=CoincidenceConfig(window_ns=0.8, histogram_bin_ps=160,
+                                      histogram_span_ns=20.0),
+        include_umis=False,
+        simulate_all_channels=False,
+    )
     arm_sig, arm_idl = detection_arms(base)
     window_ns = base.coincidence.window_ns
     points = []
@@ -107,8 +103,6 @@ def cross_check(config, master_seed, duration_s=DURATION_S):
 
 
 def _summary(pulls):
-    from scipy.stats import kstest
-
     pulls = np.asarray(pulls)
     return {"n": int(pulls.size), "mean": float(pulls.mean()),
             "mean_se": float(pulls.std(ddof=1) / np.sqrt(pulls.size)),
@@ -127,7 +121,7 @@ def main(argv=None) -> int:
                         help="number of master seeds: the baseline's own, then 1 .. N-1")
     parser.add_argument("--duration", type=float, default=DURATION_S,
                         help="seconds per run (the criterion's: %(default)s)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes (at most 8)")
     parser.add_argument("--out", type=Path, help="JSON file (default: stdout)")
     args = parser.parse_args(argv)
     if args.seeds < 2 or args.jobs < 1:
@@ -135,10 +129,10 @@ def main(argv=None) -> int:
     own = load_config(None).seed
     seeds = [own, *range(1, args.seeds)]
     start = time.perf_counter()
-    with Pool(min(args.jobs, 8)) as pool:
+    with get_context("spawn").Pool(min(args.jobs, 8)) as pool:
         results = dict(pool.map(_study_one, [(s, args.duration) for s in seeds]))
     pulls = np.array([[pt.pull for pt in results[s]] for s in seeds])  # seed x power
-    failing = [s for s in seeds if np.any(np.abs([pt.pull for pt in results[s]]) > GATE_SIGMA)]
+    failing = [s for s, row in zip(seeds, pulls) if np.any(np.abs(row) > GATE_SIGMA)]
     report = {
         "scenario": "criterion 8 Monte Carlo cross-check (tests/criterion8.py)",
         "duration_s": args.duration,
