@@ -93,15 +93,17 @@ def assemble_timestamps(timestamps_ps: np.ndarray, duration_ps: int) -> np.ndarr
     Sorted input, as ``generate_run`` and ``apply_detector`` pass, is not
     sorted again: on 1.15 M sorted int64 timestamps the check for a descent
     takes 0.8 ms and ``np.sort`` 16 ms (numpy 2.4.6, one core of a 2-core
-    Xeon).  The clip is two binary searches; the rare repeats are found as
-    indices by one comparison of neighbours, and deleted if there are any.
+    Xeon).  The clip is two binary searches and the repeats one comparison
+    of neighbours (``np.unique`` on int64 is a hash table in numpy 2.x).
     """
     t = np.asarray(timestamps_ps, dtype=np.int64)
     if np.any(t[1:] < t[:-1]):
         t = np.sort(t)
     t = t[np.searchsorted(t, 0):np.searchsorted(t, duration_ps)]
-    repeats = np.flatnonzero(t[1:] == t[:-1])
-    return np.delete(t, repeats + 1) if repeats.size else t.copy()
+    keep = np.empty(t.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(t[1:], t[:-1], out=keep[1:])
+    return t[keep]
 
 
 @dataclass(frozen=True)
@@ -162,20 +164,15 @@ def histogram(a: EventStream, b: EventStream, cfg: CoincidenceConfig) -> Coincid
     held[held] = tb[lo[held]] <= ta[held] + reach_ps
     ta, lo = ta[held], lo[held]
     per = np.searchsorted(tb, ta + reach_ps, side="right") - lo
-    total = int(per.sum())
-    if total:
-        idx = _ranges(lo, per)
-        delays = tb[idx] - np.repeat(ta, per)
-        bins = np.rint(delays / bin_ps).astype(np.int64)
-        keep = np.abs(bins) <= n_half
-        counts = np.bincount(bins[keep] + n_half, minlength=2 * n_half + 1)
-    else:
-        counts = np.zeros(2 * n_half + 1, dtype=np.int64)
+    delays = tb[_ranges(lo, per)] - np.repeat(ta, per)
+    bins = np.rint(delays / bin_ps).astype(np.int64)
+    keep = np.abs(bins) <= n_half
+    counts = np.bincount(bins[keep] + n_half, minlength=2 * n_half + 1)
     return CoincidenceHistogram(
         bin_width_ps=bin_ps,
         centers_ps=centers,
         counts=counts.astype(np.int64),
-        total_pairs_examined=total,
+        total_pairs_examined=int(per.sum()),
     )
 
 

@@ -10,13 +10,15 @@ own, then 1 .. N-1) and writes JSON: per power and over all powers the
 mean, its standard error and the sd of the signed pulls, a KS p-value
 against N(0, 1), and the share of master seeds at which the gate fails.
 A correct model fails a 2-sigma gate at one of five independent powers
-at about 1 - 0.955**5 = 21 % of seeds.  It is not part of the test run::
+at about 1 - 0.955**5 = 21 % of seeds.  It runs one worker process per
+CPU and is not part of the test run::
 
-    PYTHONPATH=src python tests/criterion8.py --seeds 240 --jobs 2 --out pulls.json
+    python tests/criterion8.py --seeds 240 --out pulls.json
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -121,15 +123,14 @@ def main(argv=None) -> int:
                         help="number of master seeds: the baseline's own, then 1 .. N-1")
     parser.add_argument("--duration", type=float, default=DURATION_S,
                         help="seconds per run (the criterion's: %(default)s)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (at most 8)")
     parser.add_argument("--out", type=Path, help="JSON file (default: stdout)")
     args = parser.parse_args(argv)
-    if args.seeds < 2 or args.jobs < 1:
-        parser.error("--seeds must be at least 2 and --jobs at least 1")
+    if args.seeds < 2:
+        parser.error("--seeds must be at least 2")
     own = load_config(None).seed
     seeds = [own, *range(1, args.seeds)]
     start = time.perf_counter()
-    with get_context("spawn").Pool(min(args.jobs, 8)) as pool:
+    with get_context("spawn").Pool(os.cpu_count()) as pool:
         results = dict(pool.map(_study_one, [(s, args.duration) for s in seeds]))
     pulls = np.array([[pt.pull for pt in results[s]] for s in seeds])  # seed x power
     failing = [s for s, row in zip(seeds, pulls) if np.any(np.abs(row) > GATE_SIGMA)]
