@@ -32,9 +32,9 @@ from .detection import (
     DetectorSpec,
     LossEntry,
     LossLedger,
-    accidental_rate,
     apply_detector,
     car_curve,
+    coincidence_rates,
     loss_report,
 )
 from .events import (

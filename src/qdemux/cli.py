@@ -79,14 +79,12 @@ def _write_json(path: Path, payload) -> None:
 
 def _cmd_plan(args, config: ScenarioConfig, outdir: Path) -> list[str]:
     pump = config.plan[0].pump.index
-    rows = []
-    for pair in reversed(config.plan):
-        rows.append([f"Signal {pair.label.split('-')[0][1:]}", pair.signal.name,
-                     f"{pair.signal.center_wavelength_nm:.4f}"])
-    for pair in reversed(config.plan):
-        rows.append([f"Idler {pair.idler_label[1:]}", pair.idler.name,
-                     f"{pair.idler.center_wavelength_nm:.4f}"])
-    rows.append(["Pump", f"C{pump}", f"{channel_wavelength(pump):.4f}"])
+    rows = [["Pump", f"C{pump}", f"{channel_wavelength(pump):.4f}"]]
+    for pair in config.plan:
+        rows += [[f"Signal {pair.signal_label[1:]}", pair.signal.name,
+                  f"{pair.signal.center_wavelength_nm:.4f}"],
+                 [f"Idler {pair.idler_label[1:]}", pair.idler.name,
+                  f"{pair.idler.center_wavelength_nm:.4f}"]]
     rows.sort(key=lambda r: r[1])
     if args.format == "json":
         payload = [{"name": n, "channel": c, "wavelength_nm": float(w)} for n, c, w in rows]

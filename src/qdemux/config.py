@@ -270,6 +270,10 @@ def build_config(raw: dict) -> ScenarioConfig:
 
     umis = {side: _build(UmiSpec, t["umis"][side], f"umis.{side}")
             for side in ("idler", "signal")}
+    if umis["signal"].delay_ps != umis["idler"].delay_ps:
+        raise ConfigError(f"umis.signal.delay_ns: must equal umis.idler.delay_ns for "
+                          f"central-peak interference, got {umis['signal'].delay_ns} and "
+                          f"{umis['idler'].delay_ns} ns")
     fringe = _build(FringeModel, t["fringe"], "fringe")
     ledgers = {arm: LossLedger(tuple(_build(LossEntry, entry, f"ledgers.{arm}[{i}]")
                                      for i, entry in enumerate(t["ledgers"][arm])),
@@ -317,27 +321,24 @@ def build_config(raw: dict) -> ScenarioConfig:
     rates = _build(SfwmRates, {"pair_coefficient": pair_coefficient, "raman_signal": raman,
                                "raman_idler": raman, "enhancement": sf["enhancement"]}, "sfwm")
 
-    try:
-        return ScenarioConfig(
-            plan=plan,
-            active_label=active_label,
-            ring=ring,
-            rates=rates,
-            crystal=crystal,
-            curve=curve,
-            sfg_pump=sfg_pump,
-            signal_umi=umis["signal"],
-            idler_umi=umis["idler"],
-            fringe=fringe,
-            signal_ledger=ledgers["signal"],
-            idler_ledger=ledgers["idler"],
-            apd1=apd1,
-            apd2=apd2,
-            coincidence=coincidence,
-            **run,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"run: {exc}") from None
+    return ScenarioConfig(
+        plan=plan,
+        active_label=active_label,
+        ring=ring,
+        rates=rates,
+        crystal=crystal,
+        curve=curve,
+        sfg_pump=sfg_pump,
+        signal_umi=umis["signal"],
+        idler_umi=umis["idler"],
+        fringe=fringe,
+        signal_ledger=ledgers["signal"],
+        idler_ledger=ledgers["idler"],
+        apd1=apd1,
+        apd2=apd2,
+        coincidence=coincidence,
+        **run,
+    )
 
 
 def calibrate_pair_coefficient(target_singles_hz: float, chip_power_uw: float,

@@ -105,17 +105,6 @@ class DetectorSpec:
                 f"timing_jitter_sigma_ps: must be >= 0, got {self.timing_jitter_sigma_ps}")
 
 
-def accidental_rate(singles_a_hz, singles_b_hz, window_ns: float):
-    """Accidental coincidence rate [1/s]: R_a * R_b * window.
-
-    Flat-background approximation, valid when both singles streams are
-    uncorrelated on the scale of the window.  Accepts scalars or arrays.
-    """
-    if np.any(singles_a_hz < 0) or np.any(singles_b_hz < 0):
-        raise ValueError("singles rates must be >= 0")
-    return singles_a_hz * singles_b_hz * window_ns * 1e-9
-
-
 @dataclass(frozen=True)
 class DetectionArm:
     """One detection chain: the share of photons that reach the detector, and the detector.
@@ -132,26 +121,35 @@ class DetectionArm:
         return self.survival * self.detector.efficiency
 
 
+def coincidence_rates(source: SfwmRates, arm_signal: DetectionArm, arm_idler: DetectionArm,
+                      window_ns: float, pump_power_uw, label: str | None = None):
+    """``(true, accidental)`` coincidence rates [1/s] versus on-chip pump power.
+
+    true = eta_s * eta_i * R_pair(P), all inside the window; accidental =
+    S_s(P) * S_i(P) * window, where each singles rate holds the pair
+    photons, linear Raman noise and the detector's darks.  Accepts a
+    scalar or an array of powers.
+    """
+    eta_s = arm_signal.efficiency()
+    eta_i = arm_idler.efficiency()
+    true = eta_s * eta_i * ring_source.pair_rate(source, pump_power_uw, label)
+    s_sig = ring_source.singles_rate(source, pump_power_uw, "signal", eta_s,
+                                     arm_signal.detector.dark_rate_hz, label)
+    s_idl = ring_source.singles_rate(source, pump_power_uw, "idler", eta_i,
+                                     arm_idler.detector.dark_rate_hz, label)
+    return true, s_sig * s_idl * window_ns * 1e-9
+
+
 def car_curve(source: SfwmRates, arm_signal: DetectionArm, arm_idler: DetectionArm,
               window_ns: float, pump_power_uw, label: str | None = None):
     """Analytic coincidence-to-accidental ratio versus on-chip pump power.
 
-    CAR(P) = eta_s * eta_i * R_pair(P) / (S_s(P) * S_i(P) * window)
-
-    where each singles rate includes the quadratically growing pair
-    photons, linear Raman noise, and the detector's dark counts.  Returns
-    NaN where the accidental rate vanishes (all noise off at P = 0).
-    Accepts a scalar or an array of powers.
+    The ratio of the two :func:`coincidence_rates`; NaN where the
+    accidental rate vanishes (all noise off at P = 0).  Accepts a scalar
+    or an array of powers.
     """
     p = np.atleast_1d(np.asarray(pump_power_uw, dtype=float))
-    eta_s = arm_signal.efficiency()
-    eta_i = arm_idler.efficiency()
-    c_true = eta_s * eta_i * ring_source.pair_rate(source, p, label)
-    s_sig = ring_source.singles_rate(source, p, "signal", eta_s,
-                                     arm_signal.detector.dark_rate_hz, label)
-    s_idl = ring_source.singles_rate(source, p, "idler", eta_i,
-                                     arm_idler.detector.dark_rate_hz, label)
-    acc = accidental_rate(s_sig, s_idl, window_ns)
+    c_true, acc = coincidence_rates(source, arm_signal, arm_idler, window_ns, p, label)
     with np.errstate(divide="ignore", invalid="ignore"):
         car = np.where(acc > 0, c_true / acc, np.nan)
     return car if np.ndim(pump_power_uw) else float(car[0])

@@ -349,16 +349,15 @@ def fringe_scan(config: ScenarioConfig, phases_rad: np.ndarray,
     return analysis.FringeScan(points=tuple(points))
 
 
-def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> dict:
+def demux_crosstalk(config: ScenarioConfig, duration_s: float) -> dict:
     """Address each channel in turn and coincide the converted stream with every idler.
 
     Returns the crosstalk matrix (addressed signal label -> idler label ->
     ``WindowCounts``), the solved pump wavelengths and the runs
-    themselves, one per addressed channel.  Matched entries should
-    tower over the accidental floor; mismatched entries should sit on
-    it, suppressed by the conversion acceptance.
+    themselves, one of ``duration_s`` per addressed channel.  Matched
+    entries should tower over the accidental floor; mismatched entries
+    should sit on it, suppressed by the conversion acceptance.
     """
-    duration = duration_s if duration_s is not None else config.duration_s
     matrix: dict[str, dict[str, WindowCounts]] = {}
     pumps: dict[str, float] = {}
     runs: dict[str, RunResult] = {}
@@ -366,7 +365,7 @@ def demux_crosstalk(config: ScenarioConfig, duration_s: float | None = None) -> 
         cfg = replace(
             config,
             active_label=pair.signal_label,
-            duration_s=duration,
+            duration_s=duration_s,
             seed=sub_seed(config.seed, "demux", pair.signal_label),
             simulate_all_channels=True,
             convert_signal=True,

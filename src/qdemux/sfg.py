@@ -84,14 +84,12 @@ SELLMEIER_SETS: dict[str, SellmeierSet] = {
 }
 
 
-def resolve_sellmeier(sellmeier: str | SellmeierSet) -> SellmeierSet:
-    if isinstance(sellmeier, SellmeierSet):
-        return sellmeier
+def resolve_sellmeier(name: str) -> SellmeierSet:
     try:
-        return SELLMEIER_SETS[sellmeier]
+        return SELLMEIER_SETS[name]
     except KeyError:
         raise ValueError(
-            f"unknown Sellmeier set {sellmeier!r}; available: {sorted(SELLMEIER_SETS)}"
+            f"unknown Sellmeier set {name!r}; available: {sorted(SELLMEIER_SETS)}"
         ) from None
 
 
@@ -179,13 +177,12 @@ def phase_mismatch(crystal: CrystalSpec, pump_nm, signal_nm, temperature_c=None)
     )
 
 
-def solve_qpm_temperature(crystal: CrystalSpec, pump_nm: float, signal_nm: float,
-                          t_range_c: tuple[float, float] = (-20.0, 200.0)) -> float:
+def solve_qpm_temperature(crystal: CrystalSpec, pump_nm: float, signal_nm: float) -> float:
     """Temperature [degC] at which the interaction phase matches.
 
-    Raises ``ValueError`` when no root lies in ``t_range_c``.
+    Raises ``ValueError`` when no root lies in [-20, 200] degC.
     """
-    lo, hi = t_range_c
+    lo, hi = -20.0, 200.0
     return _first_root(
         lambda t: phase_mismatch(crystal, pump_nm, signal_nm, t),
         np.linspace(lo, hi, 221), xtol=1e-6,
@@ -197,10 +194,9 @@ def solve_qpm_temperature(crystal: CrystalSpec, pump_nm: float, signal_nm: float
     )
 
 
-def matched_signal_nm(crystal: CrystalSpec, pump_nm: float,
-                      signal_window_nm: tuple[float, float] = (1500.0, 1620.0)) -> float:
-    """Signal wavelength [nm] phase matched by ``pump_nm`` at the crystal setting."""
-    lo, hi = signal_window_nm
+def matched_signal_nm(crystal: CrystalSpec, pump_nm: float) -> float:
+    """Signal wavelength [nm] in [1500, 1620] nm phase matched by ``pump_nm``."""
+    lo, hi = 1500.0, 1620.0
     return _first_root(
         lambda s: phase_mismatch(crystal, pump_nm, s),
         np.linspace(lo, hi, 121), xtol=1e-9,
@@ -240,9 +236,9 @@ def acceptance(crystal: CrystalSpec, pump_nm: float, signal_detuning_ghz) -> flo
     return relative_efficiency(crystal, pump_nm, C_NM_THZ / (matched_thz + det * 1e-3))
 
 
-def acceptance_fwhm_ghz(crystal: CrystalSpec, pump_nm: float,
-                        scan_ghz: float = 120.0) -> float:
-    """Full width at half maximum of the acceptance curve [GHz], by scan."""
+def acceptance_fwhm_ghz(crystal: CrystalSpec, pump_nm: float) -> float:
+    """Full width at half maximum of the acceptance curve [GHz], by scan to 120 GHz."""
+    scan_ghz = 120.0
     det = np.linspace(0.0, scan_ghz, 2401)
     acc = acceptance(crystal, pump_nm, det)
     below = np.nonzero(acc < 0.5)[0]
@@ -341,13 +337,12 @@ def quantum_from_power(power_eff: float, signal_nm: float, sfg_nm: float) -> flo
     return power_eff * sfg_nm / signal_nm
 
 
-def _first_root(mismatch, grid: np.ndarray, xtol: float, error: ValueError,
-                max_iter: int = 200) -> float:
+def _first_root(mismatch, grid: np.ndarray, xtol: float, error: ValueError) -> float:
     """Lowest root of ``mismatch`` on ``grid``; raises ``error`` when there is none.
 
     The grid is evaluated in one array call to bracket the first sign
-    change, which plain bisection then refines with scalar calls;
-    deterministic.
+    change, which plain bisection then refines with scalar calls, at most
+    200 of them; deterministic.
     """
     vals = mismatch(grid)
     idx = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
@@ -362,7 +357,7 @@ def _first_root(mismatch, grid: np.ndarray, xtol: float, error: ValueError,
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise ValueError("bisection bracket does not straddle a root")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = mismatch(mid)
         if fmid == 0.0 or (hi - lo) / 2.0 < xtol:

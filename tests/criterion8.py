@@ -30,7 +30,7 @@ from scipy.stats import kstest
 
 if __name__ == "__main__":  # run as a script: import this tree's package
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from qdemux import analysis, detection, ring_source  # noqa: E402
+from qdemux import analysis, detection  # noqa: E402
 from qdemux.config import load_config  # noqa: E402
 from qdemux.events import CoincidenceConfig, histogram  # noqa: E402
 from qdemux.montecarlo import detection_arms, generate_run, sub_seed  # noqa: E402
@@ -89,13 +89,8 @@ def cross_check(config, master_seed, duration_s=DURATION_S):
         expected = float(detection.car_curve(cfg.rates, arm_sig, arm_idl, window_ns, p))
         # sigma of the estimator under the model (expected counts, not the
         # noisy observed ones): standard practice for a cross-validation pull
-        s_sig = ring_source.singles_rate(cfg.rates, p, "signal", arm_sig.efficiency(),
-                                         cfg.apd2.dark_rate_hz)
-        s_idl = ring_source.singles_rate(cfg.rates, p, "idler", arm_idl.efficiency(),
-                                         cfg.apd1.dark_rate_hz)
-        acc_per_window = detection.accidental_rate(s_sig, s_idl, window_ns)
-        c_true = arm_sig.efficiency() * arm_idl.efficiency() \
-            * cfg.rates.pair_coefficient * p**2
+        c_true, acc_per_window = detection.coincidence_rates(cfg.rates, arm_sig, arm_idl,
+                                                             window_ns, p)
         bg_width_ns = 2.0 * (base.coincidence.histogram_span_ns - BACKGROUND_START_NS)
         e_center = (c_true + acc_per_window) * duration_s
         e_bg = acc_per_window * (bg_width_ns / window_ns) * duration_s

@@ -108,10 +108,27 @@ def test_unknown_or_missing_loss_group_names_field(entry):
      r"^sfwm\.enhancement\.S2-I2: must be finite, got nan"),
     ({"sfg_pump": {"window_nm": [790.0, float("inf")]}},
      r"^sfg_pump\.window_nm\[1\]: must be finite, got inf"),
+    ({"plan": {"offsets": [10, 10]}},
+     r"^plan: duplicate pair offset 10$"),
+    ({"crystal": {"sellmeier": "nope"}},
+     r"^crystal\.sellmeier: unknown Sellmeier set 'nope'; available: \['gayer2008"),
+    ({"crystal": {"poling_period_um": 20.0}},
+     r"^crystal\.temperature_c: no phase-matching temperature in \[-20\.0, 200\.0\] degC"),
+    ({"sfwm": {"raman_fraction": -0.1}},
+     r"^sfwm\.raman_fraction: must be >= 0, got -0\.1"),
+    ({"sfwm": {"detected_singles_target_hz": 0}},
+     r"^sfwm\.detected_singles_target_hz: must be > 0, got 0\.0"),
+    ({"run": {"chip_power_uw": 0}},
+     r"^sfwm\.pair_coefficient: cannot calibrate at .* run\.chip_power_uw 0\.0"),
+    ({"umis": {"signal": {"delay_ns": 2.0}}},
+     r"^umis\.signal\.delay_ns: must equal umis\.idler\.delay_ns .* got 2\.0 and 1\.6 ns"),
+    # a string is written as the file's text, not as JSON
+    ('{"run": {"seed": 1', r"bad\.json: not valid JSON: "),
+    ([{"run": {"seed": 1}}], r"bad\.json: top level must be an object"),
 ])
 def test_malformed_override_names_path_and_expectation(tmp_path, override, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(override))
+    path.write_text(override if isinstance(override, str) else json.dumps(override))
     with pytest.raises(ConfigError, match=message):
         load_config(path)
 

@@ -7,9 +7,9 @@ from qdemux.detection import (
     DetectorSpec,
     LossEntry,
     LossLedger,
-    accidental_rate,
     apply_detector,
     car_curve,
+    coincidence_rates,
     db_to_linear,
     linear_to_db,
     loss_report,
@@ -78,12 +78,24 @@ def test_db_linear_round_trip(db):
     assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
 
-def test_accidental_rate_examples():
-    assert accidental_rate(0.0, 5000.0, 0.8) == 0.0
-    # 1000/s x 2000/s x 0.8 ns
-    assert accidental_rate(1000.0, 2000.0, 0.8) == pytest.approx(1.6e-3, rel=1e-12)
-    assert accidental_rate(1000.0, 2000.0, 1.6) == pytest.approx(
-        2.0 * accidental_rate(1000.0, 2000.0, 0.8), rel=1e-12)
+def test_coincidence_rates_examples():
+    rates = SfwmRates(pair_coefficient=0.8)
+    dark_a = DetectionArm(1.0, DetectorSpec(1.0, dark_rate_hz=1000.0))
+    dark_b = DetectionArm(1.0, DetectorSpec(1.0, dark_rate_hz=2000.0))
+    # darks alone at zero power: 1000/s x 2000/s x 0.8 ns
+    true, acc = coincidence_rates(rates, dark_a, dark_b, 0.8, 0.0)
+    assert true == 0.0
+    assert acc == pytest.approx(1.6e-3, rel=1e-12)
+    assert coincidence_rates(rates, dark_a, dark_b, 1.6, 0.0)[1] == pytest.approx(
+        2.0 * acc, rel=1e-12)
+    assert coincidence_rates(rates, DetectionArm(1.0, DetectorSpec(1.0)), dark_b,
+                             0.8, 0.0)[1] == 0.0
+    # 8000 pairs/s at 100 uW through arms of 0.25 and 0.2: singles 2000 and
+    # 1600/s, 400 true/s, and 2000/s x 1600/s x 0.8 ns accidental
+    true, acc = coincidence_rates(rates, DetectionArm(0.5, DetectorSpec(0.5)),
+                                  DetectionArm(1.0, DetectorSpec(0.2)), 0.8, 100.0)
+    assert true == pytest.approx(400.0, rel=1e-12)
+    assert acc == pytest.approx(2.56e-3, rel=1e-12)
 
 
 # --- analytic CAR ---

@@ -13,7 +13,6 @@ from qdemux.montecarlo import (
     ScenarioConfig,
     _lone_times,
     _truncated_laplace,
-    detection_arms,
     fringe_scan,
     generate_run,
     operating_point,
@@ -190,42 +189,62 @@ def default_config():
 def _expected_singles_hz(cfg):
     """Detected singles rate of every stream from the analytic chain.
 
-    ``singles_rate`` at the ``detection_arms`` efficiencies (each
-    neighbour's signal scaled by its conversion acceptance), the photon
+    ``singles_rate`` of each simulated pair at its arm's survival times the
+    detector efficiency (``op.signal_arm_survival(label)`` on the signal
+    arm: each neighbour scaled by its conversion acceptance), the photon
     term halved by an interferometer, darks added, then the
     non-paralyzable dead-time law N / (1 + N tau).
     """
     op = operating_point(cfg)
-    arm_sig, arm_idl = detection_arms(cfg, op)
+    pairs = cfg.plan if cfg.simulate_all_channels else (cfg.active_pair,)
     share = 0.5 if cfg.include_umis else 1.0
+    signal_detector = cfg.signal_detector()
 
     def detected(photons_hz, det):
         n = share * photons_hz + det.dark_rate_hz
         return n / (1.0 + n * det.dead_time_us * 1e-6)
 
-    per_acceptance = arm_sig.efficiency() / op.acceptance[cfg.active_pair.label]
     signal = sum(singles_rate(cfg.rates, cfg.chip_power_uw, "signal",
-                              per_acceptance * op.acceptance[p.label], 0.0, p.label)
-                 for p in cfg.plan)
-    rates = {cfg.signal_stream_label: detected(signal, arm_sig.detector)}
-    for p in cfg.plan:
+                              op.signal_arm_survival(p.label) * signal_detector.efficiency,
+                              0.0, p.label)
+                 for p in pairs)
+    rates = {cfg.signal_stream_label: detected(signal, signal_detector)}
+    for p in pairs:
         idler = singles_rate(cfg.rates, cfg.chip_power_uw, "idler",
-                             arm_idl.efficiency(), 0.0, p.label)
-        rates[p.idler_label] = detected(idler, arm_idl.detector)
+                             op.idler_survival * cfg.apd1.efficiency, 0.0, p.label)
+        rates[p.idler_label] = detected(idler, cfg.apd1)
     return rates
 
 
-def test_default_scenario_singles_rates_match_analytic_chain(default_config):
-    for include_umis in (True, False):
-        cfg = replace(default_config, duration_s=20.0, include_umis=include_umis)
-        run = generate_run(cfg)
-        expected = _expected_singles_hz(cfg)
-        streams = [run.signal_stream, *run.idler_streams.values()]
-        assert sorted(s.label for s in streams) == sorted(expected)
-        for stream in streams:
-            n = expected[stream.label] * cfg.duration_s
-            z = (stream.count - n) / np.sqrt(n)
-            assert abs(z) < 5.0, (include_umis, stream.label, stream.count, n)
+@pytest.mark.parametrize("fields, detector_fields, converted_hz", [
+    # S2' by hand: the 2000/s calibration target, halved by the
+    # interferometer, + 1000/s darks + about 1.4/s leaked from S1 and S3;
+    # without interferometers 2000 + 1000 + 2.9/s
+    pytest.param({}, {}, 2001.4, id="baseline"),
+    pytest.param({"include_umis": False}, {}, 3002.9, id="no_interferometers"),
+    pytest.param({"convert_signal": False}, {}, None, id="unconverted"),
+    pytest.param({"chip_power_uw": 50.0}, {}, None, id="50uW"),
+    pytest.param({"chip_power_uw": 800.0}, {}, None, id="800uW"),
+    pytest.param({}, {"dark_rate_hz": 0.0, "timing_jitter_sigma_ps": 0.0}, None,
+                 id="no_darks_or_jitter"),
+    pytest.param({}, {"dead_time_us": 100.0}, None, id="dead_time_100us"),
+    pytest.param({"simulate_all_channels": False}, {}, None, id="one_channel"),
+])
+def test_default_scenario_singles_rates_match_analytic_chain(default_config, fields,
+                                                             detector_fields, converted_hz):
+    cfg = replace(default_config, duration_s=10.0, **fields,
+                  apd1=replace(default_config.apd1, **detector_fields),
+                  apd2=replace(default_config.apd2, **detector_fields))
+    expected = _expected_singles_hz(cfg)
+    if converted_hz is not None:
+        assert expected["S2'"] == pytest.approx(converted_hz, abs=0.05)
+    run = generate_run(cfg)
+    streams = [run.signal_stream, *run.idler_streams.values()]
+    assert sorted(s.label for s in streams) == sorted(expected)
+    for stream in streams:
+        n = expected[stream.label] * cfg.duration_s
+        z = (stream.count - n) / np.sqrt(n)
+        assert abs(z) < 5.0, (stream.label, stream.count, n)
 
 
 def test_channel_acceptance_equals_acceptance_at_its_detuning(default_config):
