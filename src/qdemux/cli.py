@@ -26,8 +26,9 @@ from . import __version__, analysis, detection, ring_source, sfg
 from .channel_plan import channel_wavelength
 from .config import ConfigError, build_config, config_digest, load_config_dict
 from .detection import format_ledger_table, loss_report
-from .events import central_window_counts, histogram, read_streams, write_streams
+from .events import central_window_counts, histogram, read_manifest, read_streams, write_streams
 from .montecarlo import (
+    OperatingPoint,
     ScenarioConfig,
     demux_crosstalk,
     detection_arms,
@@ -198,13 +199,13 @@ def _fringe_phases(points: int) -> np.ndarray:
 
 
 def _run_fringe(config: ScenarioConfig, points: int, duration: float, before: bool,
-                scan_name: str):
+                scan_name: str, op: OperatingPoint | None = None):
     cfg = replace(
         config,
         convert_signal=not before,
         simulate_all_channels=False,
     )
-    scan = fringe_scan(cfg, _fringe_phases(points), duration, scan_name=scan_name)
+    scan = fringe_scan(cfg, _fringe_phases(points), duration, scan_name=scan_name, op=op)
     result = analysis.fit_visibility(scan)
     return scan, result
 
@@ -240,6 +241,9 @@ def _cmd_fringe(args, config: ScenarioConfig, outdir: Path) -> list[str]:
 
 
 def _cmd_demux(args, config: ScenarioConfig, outdir: Path) -> list[str]:
+    # first, so that each after-conversion scan reuses its channel's crosstalk operating
+    # point (simulating fewer channels, it reads only its own channel's acceptance)
+    xtalk = demux_crosstalk(config, duration_s=args.duration)
     files: list[str] = []
     cells: dict[str, dict[str, analysis.VisibilityResult | None]] = {}
     table_json: dict[str, dict] = {}
@@ -252,7 +256,8 @@ def _cmd_demux(args, config: ScenarioConfig, outdir: Path) -> list[str]:
             ("after", False, args.duration_after),
         ):
             scan, result = _run_fringe(replace(config, active_label=label), args.points,
-                                       duration, before, scan_name=f"demux-fringe:{label}:{kind}")
+                                       duration, before, scan_name=f"demux-fringe:{label}:{kind}",
+                                       op=None if before else xtalk["runs"][label].op)
             cells[pair.label][kind] = result
             table_json[pair.label][kind] = analysis.visibility_result_to_dict(result)
             stem = f"fringe_{label}_{kind}"
@@ -265,7 +270,6 @@ def _cmd_demux(args, config: ScenarioConfig, outdir: Path) -> list[str]:
     files.extend(["visibility_table.txt", "visibility_table.json"])
     print(table)
 
-    xtalk = demux_crosstalk(config, duration_s=args.duration)
     rows = []
     for sig_label, row in sorted(xtalk["matrix"].items()):
         for idl_label, cell in sorted(row.items()):
@@ -318,18 +322,19 @@ def _cmd_loss(args, config: ScenarioConfig, outdir: Path) -> list[str]:
 
 
 def _cmd_analyze(args, config: ScenarioConfig, outdir: Path) -> list[str]:
-    streams, manifest = read_streams(args.tags)
-    by_label = {s.label: s for s in streams}
-    labels = manifest["labels"]
+    labels = read_manifest(args.tags)["labels"]
     if not (args.a and args.b) and len(labels) < 2:
         raise ValueError(f"{args.tags}: tag file has channels {labels}; analyze needs two "
                          "channels, or both --a and --b")
     label_a = args.a or labels[0]
     label_b = args.b or labels[1]
-    if label_a not in by_label or label_b not in by_label:
+    if label_a not in labels or label_b not in labels:
         raise ValueError(
-            f"channels {label_a!r}/{label_b!r} not in tag file {sorted(by_label)}"
+            f"channels {label_a!r}/{label_b!r} not in tag file {sorted(labels)}"
         )
+    # only the two histogrammed streams are built (see read_streams)
+    streams, manifest = read_streams(args.tags, labels=[label_a, label_b])
+    by_label = {s.label: s for s in streams}
     hist = histogram(by_label[label_a], by_label[label_b], config.coincidence)
     rows = [[f"{c}", f"{n}"] for c, n in zip(hist.centers_ps, hist.counts)]
     _write_csv(outdir / "histogram.csv", ["delay_ps", "count"], rows)

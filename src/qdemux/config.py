@@ -35,6 +35,11 @@ class ConfigError(ValueError):
     """Configuration file failed validation; the message names the field."""
 
 
+# A ledger's detector entries may differ from -10 log10(efficiency) of its detector by
+# this much [dB]: the baseline's 3.00 dB stands for 50 % (3.0103 dB).
+_DETECTOR_DB_TOLERANCE = 0.02
+
+
 def baseline_dict() -> dict:
     """The baseline scenario as a plain nested dict (JSON-shaped)."""
     return {
@@ -281,6 +286,16 @@ def build_config(raw: dict) -> ScenarioConfig:
                for arm in ("signal", "idler")}
     apd1, apd2 = (_build(DetectorSpec, t["detectors"][name], f"detectors.{name}")
                   for name in ("apd1", "apd2"))
+    # the ledgers' detector entries are what `qdemux loss` reports, the efficiencies what
+    # every run and law uses: they must state one detector
+    for arm, name, detector in (("signal", "apd2", apd2), ("idler", "apd1", apd1)):
+        ledger_db = ledgers[arm].total_db(("detector",))
+        detector_db = -10.0 * math.log10(detector.efficiency)
+        if abs(ledger_db - detector_db) > _DETECTOR_DB_TOLERANCE:
+            raise ConfigError(
+                f"ledgers.{arm}: its detector entries total {ledger_db:.2f} dB, but "
+                f"detectors.{name}.efficiency {detector.efficiency} is {detector_db:.2f} dB; "
+                f"they must agree within {_DETECTOR_DB_TOLERANCE} dB")
     coincidence = _build(CoincidenceConfig, t["coincidence"], "coincidence")
 
     run = t["run"]

@@ -12,7 +12,7 @@ import io
 import itertools
 import json
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, NoReturn
@@ -358,15 +358,20 @@ def _row_bytes(prefix: np.ndarray, times: np.ndarray, digits: int) -> np.ndarray
     return rows
 
 
-def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
-    """Read a UTF-8 tag CSV and its manifest back into streams.
+def read_streams(path: str | Path,
+                 labels: Iterable[str] | None = None) -> tuple[list[EventStream], dict]:
+    """Read a UTF-8 tag CSV and its manifest (see ``read_manifest``) back into streams.
 
     Lines may end in CRLF, LF or CR, and blank lines are skipped.  Every
     other line must be ``label,time_ps``: an unquoted label that the
     manifest lists, as ``write_streams`` writes it, and a time that
-    ``int()`` reads and int64 holds.  The manifest must hold ``labels``, a
-    list of strings; ``duration_s``, a positive number; ``seed``, an
-    integer; and, if present, ``config_digest``, a string.
+    ``int()`` reads and int64 holds.
+
+    ``labels`` picks the streams to build; they are returned in manifest
+    order, each once.  ``None`` builds every stream.  Every row is checked
+    as above, but the times of the other labels' rows are not converted
+    (byte parser) or are dropped once their block is parsed (str parser),
+    and their streams are never built: their order and range go unchecked.
 
     The file is read in binary blocks of whole lines, cut after an LF or a
     lone CR, never between the CR and LF of a CRLF.  A block whose lines
@@ -379,21 +384,25 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
     is decoded and goes to the str parser, and a block that parser refuses
     is searched for its first bad row (see ``_parse_block``).
 
-    Raises ``ValueError`` naming the manifest and the key for a manifest
-    that breaks those rules, and naming the manifest if it lists a label
-    twice or is not JSON; naming the file (or manifest), line and byte of
-    a byte that is not UTF-8; naming the file and the offending line for a
-    row without exactly 2 fields, a time that is not such an integer, and a
-    channel the manifest does not list; and naming the file and the
-    offending channel for timestamps that are not strictly increasing or
-    fall outside ``[0, duration)``.
+    Raises ``ValueError`` as ``read_manifest`` does for a manifest; naming
+    the file (or manifest), line and byte of a byte that is not UTF-8;
+    naming the file and the offending line for a row without exactly 2
+    fields, a time that is not such an integer, and a channel the manifest
+    does not list; naming the file and the offending channel for
+    timestamps of a built stream that are not strictly increasing or fall
+    outside ``[0, duration)``; and naming the file, the label and the
+    manifest's labels for a label of ``labels`` that the manifest does not
+    list.
     """
     path = Path(path)
-    manifest = _read_manifest(path)
-    labels = manifest["labels"]
-    index = {label: i for i, label in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValueError(f"{_manifest_path(path)}: a label appears twice in {labels}")
+    manifest = read_manifest(path)
+    names = manifest["labels"]
+    index = {label: i for i, label in enumerate(names)}
+    wanted = set()
+    for label in names if labels is None else labels:
+        if label not in index:
+            raise ValueError(f"{path}: channel {label!r} not in the manifest's labels {names}")
+        wanted.add(index[label])
     # The labels a row of the byte parser can name, by their UTF-8 bytes: a label with
     # a CR (a line end) or a lone surrogate (no UTF-8 form) is in no such row.
     row_index = {}
@@ -401,7 +410,7 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
         if "\r" not in label:
             with contextlib.suppress(UnicodeEncodeError):
                 row_index[label.encode()] = i
-    pieces = [[np.empty(0, dtype=np.int64)] for _ in labels]
+    pieces = {i: [np.empty(0, dtype=np.int64)] for i in sorted(wanted)}
     with path.open("rb") as fh:
         blocks = _line_blocks(fh)
         first, *rest = re.split(rb"\r\n?|\n", next(blocks, b""), maxsplit=1)
@@ -411,21 +420,21 @@ def read_streams(path: str | Path) -> tuple[list[EventStream], dict]:
                              f"got {header.split(',')}")
         lineno = 2
         for block in itertools.chain(rest, blocks):
-            parsed = _parse_runs(block, row_index)
+            parsed = _parse_runs(block, row_index, wanted)
             if parsed is None:
                 text = _decoded(path, block)
                 try:
-                    parsed = _parse_block(text, index), text.count("\n")
+                    parsed = _parse_block(text, index, wanted), text.count("\n")
                 except (ValueError, OverflowError, KeyError):
-                    _raise_first_bad_line(path, text, lineno, labels)
+                    _raise_first_bad_line(path, text, lineno, names)
             runs, lines = parsed
             for i, times in runs:
                 pieces[i].append(times)
             lineno += lines
     streams = []
-    for label, own in zip(labels, pieces):
+    for i, own in pieces.items():
         try:
-            streams.append(EventStream(label, np.concatenate(own), manifest["duration_s"],
+            streams.append(EventStream(names[i], np.concatenate(own), manifest["duration_s"],
                                        manifest["seed"]))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -473,9 +482,18 @@ def _utf8_text(path: Path) -> str:
                          f"{exc.start}") from None
 
 
-def _read_manifest(path: Path) -> dict:
-    """The manifest of the tag file ``path``, its keys checked."""
-    where = _manifest_path(path)
+def read_manifest(path: str | Path) -> dict:
+    """The manifest of the tag file ``path``, its keys checked.
+
+    It must hold ``labels``, a list of strings, none of them twice;
+    ``duration_s``, a positive number; ``seed``, an integer; and, if
+    present, ``config_digest``, a string.
+
+    Raises ``ValueError`` naming the manifest and the key for a manifest
+    that breaks those rules, and naming the manifest if it lists a label
+    twice or is not JSON.
+    """
+    where = _manifest_path(Path(path))
     try:
         manifest = json.loads(_utf8_text(where))
     except json.JSONDecodeError as exc:
@@ -496,11 +514,16 @@ def _read_manifest(path: Path) -> dict:
                 raise ValueError(f"{where}: no '{key}' key")
         elif not ok(manifest[key]):
             raise ValueError(f"{where}: '{key}' must be {kind}, got {manifest[key]!r}")
+    labels = manifest["labels"]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{where}: a label appears twice in {labels}")
     return manifest
 
 
-def _parse_block(block: str, index: dict[str, int]) -> list[tuple[int, np.ndarray]]:
-    """The str parser: (label index, times) pieces of a block of LF-ended lines.
+def _parse_block(block: str, index: dict[str, int],
+                 wanted: set[int]) -> list[tuple[int, np.ndarray]]:
+    """The str parser: (label index, times) pieces of a block of LF-ended lines, one
+    for each label index of ``wanted``.
 
     Reads the blocks that the byte parser (``_parse_runs``) refuses, after
     their line ends are mapped to LF and their bytes decoded.  Blank lines
@@ -516,20 +539,20 @@ def _parse_block(block: str, index: dict[str, int]) -> list[tuple[int, np.ndarra
     if block.startswith("\n") or "\n\n" in block:
         block = "".join(line + "\n" for line in block.split("\n") if line)
     times, owner = _parse_fields(block, np.frombuffer(block.encode(), dtype=np.uint8), index)
-    return [(i, times[owner == i]) for i in index.values()]
+    return [(i, times[owner == i]) for i in wanted]
 
 
-def _parse_runs(block: bytes,
-                index: dict[bytes, int]) -> tuple[list[tuple[int, np.ndarray]], int] | None:
+def _parse_runs(block: bytes, index: dict[bytes, int],
+                wanted: set[int]) -> tuple[list[tuple[int, np.ndarray]], int] | None:
     """The byte parser: (label index, times) pieces of a block of whole lines, in file
-    order, and its number of lines.
+    order, for the label indices of ``wanted``, and its number of lines.
 
     Every line must be blank or ``<label>,<1 to 18 ASCII digits>`` with a
     label of ``index``, as ``write_streams`` writes every time below
     10**18 ps, and end in LF or CRLF, or, in a block without LF, in CR.
     The lines are cut into runs of one width and first byte, and each run
-    is checked and converted as one byte matrix.  None if a line breaks
-    these rules.
+    is checked as one byte matrix, and converted if its label is wanted.
+    None if a line breaks these rules.
     """
     line_end = b"\n" if b"\n" in block else b"\r"
     if not block.endswith(line_end):
@@ -544,16 +567,19 @@ def _parse_runs(block: bytes,
     for lo, hi in zip([0, *cuts], [*cuts, ends.size]):
         if widths[lo] <= 2 and heads[lo] in (ord("\r"), ord("\n")):
             continue  # blank lines: LF, CRLF or CR
-        run = _parse_run(chars[starts[lo]:ends[hi - 1]].reshape(hi - lo, widths[lo]), index)
+        run = _parse_run(chars[starts[lo]:ends[hi - 1]].reshape(hi - lo, widths[lo]), index,
+                         wanted)
         if run is None:
             return None
-        runs.append(run)
+        runs += run
     return runs, ends.size
 
 
-def _parse_run(rows: np.ndarray, index: dict[bytes, int]) -> tuple[int, np.ndarray] | None:
-    """(label index, times) of rows ``<label>,<digits>`` of one width, all ended
-    by CRLF or all by one byte (LF, or CR); None if not."""
+def _parse_run(rows: np.ndarray, index: dict[bytes, int],
+               wanted: set[int]) -> list[tuple[int, np.ndarray]] | None:
+    """[(label index, times)] of rows ``<label>,<digits>`` of one width, all ended
+    by CRLF or all by one byte (LF, or CR), or [] if their label is not wanted;
+    None if not such rows."""
     label, comma, _ = rows[0].tobytes().partition(b",")
     i = index.get(label) if comma else None
     # the first row's label and comma, and its line end, which every row must repeat
@@ -567,11 +593,13 @@ def _parse_run(rows: np.ndarray, index: dict[bytes, int]) -> tuple[int, np.ndarr
     values = rows[:, prefix:-suffix] - ord("0")  # a non-digit byte wraps past 9
     if (values > 9).any():
         return None
+    if i not in wanted:
+        return []
     times = values[:, 0].astype(np.int64)
     for col in range(1, digits):
         times *= 10
         times += values[:, col]
-    return i, times
+    return [(i, times)]
 
 
 def _parse_fields(block: str, chars: np.ndarray,

@@ -308,16 +308,19 @@ def detection_arms(config: ScenarioConfig,
 
 
 def fringe_scan(config: ScenarioConfig, phases_rad: np.ndarray,
-                accumulation_s: float, scan_name: str = "fringe") -> analysis.FringeScan:
+                accumulation_s: float, scan_name: str = "fringe",
+                op: OperatingPoint | None = None) -> analysis.FringeScan:
     """Monte Carlo fringe scan: one run per phase point of the signal UMI.
 
     Each point runs with its own derived seed.  The per-point background
     estimate is the pooled far-window rate of the whole scan, rescaled to
     the central window: the accidental floor is phase independent, so
     pooling is both the lower-variance and the physically honest choice.
+    ``op`` defaults to ``operating_point(config)``.
     """
     period = franson.temperature_tuning_period_k(config.signal_umi)
-    op = operating_point(config)
+    if op is None:
+        op = operating_point(config)
     points_raw = []
     for k, phi in enumerate(np.asarray(phases_rad, dtype=float)):
         cfg = replace(

@@ -13,6 +13,7 @@ from qdemux.config import (
     load_config,
     load_config_dict,
 )
+from qdemux.detection import loss_report
 from qdemux.events import EventStream, histogram, read_streams, write_streams
 from qdemux.montecarlo import generate_run, sub_seed
 from qdemux.sfg import quantum_efficiency
@@ -125,12 +126,33 @@ def test_unknown_or_missing_loss_group_names_field(entry):
     # a string is written as the file's text, not as JSON
     ('{"run": {"seed": 1', r"bad\.json: not valid JSON: "),
     ([{"run": {"seed": 1}}], r"bad\.json: top level must be an object"),
+    # a detector's efficiency and its arm's ledger entries must state one detector
+    ({"detectors": {"apd2": {"efficiency": 0.25}}},
+     r"^ledgers\.signal: its detector entries total 3\.00 dB, but "
+     r"detectors\.apd2\.efficiency 0\.25 is 6\.02 dB; they must agree within 0\.02 dB$"),
+    ({"detectors": {"apd1": {"efficiency": 0.5}}},
+     r"^ledgers\.idler: its detector entries total 6\.99 dB, but "
+     r"detectors\.apd1\.efficiency 0\.5 is 3\.01 dB"),
+    ({"ledgers": {"idler": [{"name": "InGaAs detector", "loss_db": 3.01, "group": "detector"}]}},
+     r"^ledgers\.idler: its detector entries total 3\.01 dB, but "
+     r"detectors\.apd1\.efficiency 0\.2 is 6\.99 dB"),
 ])
 def test_malformed_override_names_path_and_expectation(tmp_path, override, message):
     path = tmp_path / "bad.json"
     path.write_text(override if isinstance(override, str) else json.dumps(override))
     with pytest.raises(ConfigError, match=message):
         load_config(path)
+
+
+def test_detector_overridden_in_ledger_and_efficiency_together_builds():
+    raw = baseline_dict()
+    raw["detectors"]["apd2"]["efficiency"] = 0.25
+    si = next(e for e in raw["ledgers"]["signal"] if e["group"] == "detector")
+    si["loss_db"] = 6.02  # -10 log10(0.25) = 6.0206 dB
+    cfg = build_config(raw)
+    assert cfg.apd2.efficiency == 0.25
+    assert loss_report(cfg.signal_ledger, cfg.idler_ledger)["signal_total_db"] == \
+        pytest.approx(18.59 - 3.00 + 6.02)
 
 
 def test_build_config_leaves_input_digest_unchanged():
@@ -364,6 +386,23 @@ def test_analyze_one_stream_file_names_file_and_labels(tmp_path, capsys):
     assert cli.main(["analyze", "--tags", str(tags), "--out", str(tmp_path / "out")]) == 2
     assert ("tags.csv: tag file has channels ['A']; analyze needs two channels"
             in capsys.readouterr().err)
+
+
+def test_analyze_reads_only_its_two_streams(tmp_path, capsys):
+    # C's times descend: a full read refuses the file, analyze never builds C
+    tags = tmp_path / "tags.csv"
+    tags.write_text("channel,time_ps\nA,100\nB,150\nC,900\nC,800\n")
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1e-6, "seed": 0, "config_digest": "", "labels": ["A", "B", "C"]}')
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--tags", str(tags), "--out", str(out)]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["labels"] == ["A", "B"] and stats["center_counts"] == 1
+    assert cli.main(["analyze", "--tags", str(tags), "--a", "A", "--b", "C",
+                     "--out", str(out)]) == 2
+    assert "tags.csv: stream 'C': timestamps must be strictly" in capsys.readouterr().err
+    assert cli.main(["analyze", "--tags", str(tags), "--a", "Z", "--out", str(out)]) == 2
+    assert "channels 'Z'/'B' not in tag file ['A', 'B', 'C']" in capsys.readouterr().err
 
 
 def test_manifest_written_with_digest_and_files(tmp_path):

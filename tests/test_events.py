@@ -511,7 +511,7 @@ def test_read_back_exact_for_other_line_endings(tmp_path, rewrite):
         assert np.array_equal(loaded.timestamps_ps, orig.timestamps_ps)
 
 
-@pytest.mark.parametrize("bad_row, message", [
+_BAD_ROWS = [
     ("I2;500", "expected 2 fields, got 1"),
     ("I2,500,7", "expected 2 fields, got 3"),
     ("I2,500,I2,501", "expected 2 fields, got 4"),
@@ -519,15 +519,25 @@ def test_read_back_exact_for_other_line_endings(tmp_path, rewrite):
     ("I2,99999999999999999999", r"time_ps '99999999999999999999' is not an integer"),
     ("I2,9999999999999999999", r"time_ps '9999999999999999999' is not an integer"),
     ("Z,500", r"channel 'Z' not in the manifest's labels"),
-])
-def test_bad_row_past_first_block_names_its_line(tmp_path, bad_row, message):
-    streams = _block_spanning_streams()
-    path = write_streams(streams, tmp_path / "tags.csv")
+]
+
+
+def _tags_with_bad_row(tmp_path, bad_row):
+    """The block-spanning streams' file, LF-ended with a blank line, and ``bad_row``
+    among I2's rows past the first read block; returns the path and the bad line."""
+    path = write_streams(_block_spanning_streams(), tmp_path / "tags.csv")
     lines = path.read_text().split("\n")
     lines.insert(5, "")  # a blank line counts, as in any text editor
     bad_line = 2 * events._BLOCK_ROWS + 11  # 1-based, past the first read block too
+    assert lines[bad_line - 1].startswith("I2,")
     lines[bad_line - 1] = bad_row
     path.write_text("\n".join(lines))
+    return path, bad_line
+
+
+@pytest.mark.parametrize("bad_row, message", _BAD_ROWS)
+def test_bad_row_past_first_block_names_its_line(tmp_path, bad_row, message):
+    path, bad_line = _tags_with_bad_row(tmp_path, bad_row)
     with pytest.raises(ValueError, match=rf"tags\.csv: line {bad_line}: {message}"):
         read_streams(path)
 
@@ -701,3 +711,78 @@ def test_coincidence_config_validation():
         CoincidenceConfig(window_ns=0.8, histogram_bin_ps=900)
     with pytest.raises(ValueError, match="window"):
         CoincidenceConfig(window_ns=-0.5)
+
+
+# --- reading only some streams ---
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda data: data,
+    lambda data: data.replace(b"\r\n", b"\n"),
+    _blank_lines_between_blocks,
+], ids=["crlf", "lf", "blank-lines"])
+@pytest.mark.parametrize("labels", [["I2"], ["S2'", "I2"], ["I3", "I1"], ["I2", "I2"], []])
+def test_read_labels_equals_full_read_of_those_streams(tmp_path, rewrite, labels):
+    path = write_streams(_block_spanning_streams(), tmp_path / "tags.csv")
+    path.write_bytes(rewrite(path.read_bytes()))
+    full, manifest = read_streams(path)
+    back, back_manifest = read_streams(path, labels=labels)
+    assert back_manifest == manifest
+    # each listed stream once, in manifest order
+    _streams_equal([s for s in full if s.label in labels], back)
+
+
+@pytest.mark.parametrize("labels", [["I2"], ["I1", "I3"]])
+def test_read_labels_of_a_time_merged_file(tmp_path, monkeypatch, labels):
+    # rows of one width and first byte, labels interleaved: the str parser reads the blocks
+    rng = np.random.default_rng(21)
+    streams = [EventStream(label, np.unique(rng.integers(10**11, 10**12, 15_000)), 1.0, 4)
+               for label in ("I1", "I2", "I3")]
+    path = write_streams(streams, tmp_path / "tags.csv")
+    rows = sorted((int(t), s.label) for s in streams for t in s.timestamps_ps)
+    path.write_bytes(b"channel,time_ps\r\n"
+                     + "".join(f"{label},{t}\r\n" for t, label in rows).encode())
+    parse_block, blocks = events._parse_block, []
+    monkeypatch.setattr(events, "_parse_block", lambda *a: blocks.append(1) or parse_block(*a))
+    back, _ = read_streams(path, labels=labels)
+    assert len(blocks) >= 2
+    _streams_equal([s for s in streams if s.label in labels], back)
+
+
+@pytest.mark.parametrize("bad_row, message", _BAD_ROWS)
+def test_bad_row_of_an_unlisted_stream_names_its_line(tmp_path, bad_row, message):
+    path, bad_line = _tags_with_bad_row(tmp_path, bad_row)
+    with pytest.raises(ValueError, match=rf"tags\.csv: line {bad_line}: {message}"):
+        read_streams(path, labels=["S2'"])
+
+
+@pytest.mark.parametrize("bad_time", ["1:3", "12a", "1 3"])
+def test_non_digit_in_an_unlisted_writer_row_names_its_line(tmp_path, bad_time):
+    # a row of the writer's width, so that only the byte parser's digit check can refuse it
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_bytes(b"channel,time_ps\r\nA,100\r\nB,200\r\nB," + bad_time.encode()
+                         + b"\r\nB,400\r\n")
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "config_digest": "", "labels": ["A", "B"]}')
+    with pytest.raises(ValueError, match=rf"tags\.csv: line 4: time_ps '{bad_time}' is not"):
+        read_streams(csv_path, labels=["A"])
+
+
+def test_unlisted_stream_order_is_not_checked(tmp_path):
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_text("channel,time_ps\nA,100\nB,200\nB,100\nA,250\n")
+    (tmp_path / "tags.manifest.json").write_text(
+        '{"duration_s": 1.0, "seed": 0, "config_digest": "", "labels": ["A", "B"]}')
+    (a,), _ = read_streams(csv_path, labels=["A"])
+    assert a.label == "A" and list(a.timestamps_ps) == [100, 250]
+    with pytest.raises(ValueError, match=r"tags\.csv: stream 'B': timestamps must be strictly"):
+        read_streams(csv_path)
+    with pytest.raises(ValueError, match=r"tags\.csv: stream 'B': timestamps must be strictly"):
+        read_streams(csv_path, labels=["B"])
+
+
+def test_read_unknown_label_names_it_and_the_manifest_labels(tmp_path):
+    path = write_streams(_block_spanning_streams(), tmp_path / "tags.csv")
+    with pytest.raises(ValueError, match=r"tags\.csv: channel 'I4' not in the manifest's "
+                                         r"labels \[\"S2'\", 'I1', 'I2', 'I3'\]"):
+        read_streams(path, labels=["I2", "I4"])
