@@ -41,13 +41,6 @@ def channel_wavelength(index: int) -> float:
     return C_NM_THZ / channel_frequency(index)
 
 
-def frequency_to_wavelength(frequency_thz: float) -> float:
-    """Convert THz to vacuum nm."""
-    if frequency_thz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_thz} THz")
-    return C_NM_THZ / frequency_thz
-
-
 def wavelength_to_frequency(wavelength_nm: float) -> float:
     """Convert vacuum nm to THz."""
     if wavelength_nm <= 0:

@@ -3,9 +3,10 @@
 Every subcommand reads the baseline scenario (optionally overridden by
 ``--config``), writes fixed-precision CSV/JSON files into ``--out``, and
 drops a ``manifest.json`` recording the scenario name, config digest,
-seed, tool version, and produced files.  Outputs are byte-reproducible
-for a given config and seed; only the manifest's wall-clock field
-varies.
+seed, tool and numpy versions, and produced files.  Outputs are
+byte-reproducible for a given config, seed and numpy version (the random
+draws rest on numpy's ``Generator`` algorithms, which numpy may change
+between versions); only the manifest's wall-clock field varies.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
 """
@@ -472,6 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         "config_digest": digest,
         "seed": config.seed,
         "tool_version": __version__,
+        "numpy_version": np.__version__,
         "files": sorted(files),
         "runtime_s": time.monotonic() - start,
     })

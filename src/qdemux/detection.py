@@ -24,13 +24,6 @@ def db_to_linear(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def linear_to_db(transmission: float) -> float:
-    """Loss in dB for a transmission fraction in (0, 1]."""
-    if not 0.0 < transmission <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {transmission}")
-    return -10.0 * np.log10(transmission)
-
-
 # Where a loss sits in the chain, in the order a signal photon meets them.
 LOSS_GROUPS = ("chip", "filters", "sfg_passive", "conversion", "detector")
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel_plan import C_VACUUM_M_PER_S
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,13 +60,6 @@ class UmiSpec:
     @property
     def delay_ps(self) -> int:
         return int(round(self.delay_ns * 1000.0))
-
-    def path_length_difference_mm(self) -> float:
-        """Arm length difference implied by the delay: L_d = c*dt/(2n) [mm].
-
-        The factor 2 accounts for the double pass to the end mirror.
-        """
-        return C_VACUUM_M_PER_S * self.delay_ns * 1e-9 / (2.0 * self.refractive_index) * 1e3
 
 
 def temperature_tuning_period_k(umi: UmiSpec) -> float:

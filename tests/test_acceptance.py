@@ -30,6 +30,7 @@ from qdemux.montecarlo import (
 )
 
 import criterion8
+from scenarios import CELLS
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -208,8 +209,8 @@ def test_criterion_08_car_shape_and_monte_carlo_agreement(config):
     shift_ok = powers[imax] > powers[int(np.argmax(car_before))]
 
     # (c) Monte Carlo CAR against the analytic curve, 2 sigma at 5 powers, in
-    # criterion8.py's cross-check scenario (its pull study runs it over seeds)
-    points = criterion8.cross_check(config, config.seed)
+    # criterion8.py's scenario cell (its pull study sweeps it over seeds)
+    points = criterion8.cross_check(CELLS[criterion8.CELL](config), config.seed)
     mc_ok = all(abs(pt.pull) <= criterion8.GATE_SIGMA for pt in points)
     details = [f"P={pt.power_uw:.0f}: mc {pt.car_mc:.2f} vs {pt.car_expected:.2f} "
                f"+-{pt.sigma:.2f} ({abs(pt.pull):.2f} sigma)" for pt in points]

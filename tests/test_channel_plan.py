@@ -8,9 +8,7 @@ from qdemux.channel_plan import (
     build_plan,
     channel_frequency,
     channel_wavelength,
-    frequency_to_wavelength,
     paired_channel,
-    wavelength_to_frequency,
 )
 
 # published grid-table values (two-decimal print precision)
@@ -69,12 +67,6 @@ def test_pairing_involution(signal, pump):
     if not CHANNEL_INDEX_MIN <= idler <= CHANNEL_INDEX_MAX:
         return
     assert paired_channel(paired_channel(signal, pump), pump) == signal
-
-
-@given(st.integers(CHANNEL_INDEX_MIN, CHANNEL_INDEX_MAX))
-def test_wavelength_frequency_round_trip(index):
-    wl = channel_wavelength(index)
-    assert frequency_to_wavelength(wavelength_to_frequency(wl)) == pytest.approx(wl, abs=1e-6)
 
 
 def test_build_plan_matches_channel_table():

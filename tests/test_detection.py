@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from qdemux.detection import (
     DetectionArm,
@@ -11,7 +10,6 @@ from qdemux.detection import (
     car_curve,
     coincidence_rates,
     db_to_linear,
-    linear_to_db,
     loss_report,
 )
 from qdemux.events import EventStream
@@ -71,11 +69,6 @@ def test_loss_report_headline_numbers():
     assert report["idler_total_db"] == pytest.approx(13.99, abs=1e-12)
     assert report["signal_optical_db"] == pytest.approx(15.59, abs=1e-12)
     assert report["signal_total_db"] == pytest.approx(18.59, abs=1e-12)
-
-
-@given(st.floats(0.0, 60.0))
-def test_db_linear_round_trip(db):
-    assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
 
 def test_coincidence_rates_examples():

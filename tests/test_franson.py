@@ -76,11 +76,6 @@ def test_tuning_consistency_report_passes_fiber():
     assert report["consistent"]
 
 
-def test_path_length_difference_from_delay():
-    # c * 1.6 ns / (2 * 1.467) = 163.49 mm
-    assert fiber_umi().path_length_difference_mm() == pytest.approx(163.49, abs=0.02)
-
-
 def test_phase_from_temperature():
     umi = fiber_umi()
     period = temperature_tuning_period_k(umi)

@@ -1,12 +1,12 @@
 """Golden output digests: the CLI's files at a fixed seed, byte for byte.
 
 ``GOLDEN`` holds the CLI's files; ``STREAM_GOLDEN`` holds every detected
-stream of ``generate_run`` over a small grid of scenarios (``STREAM_GRID``),
-which reaches the stream paths no CLI default does: no darks and no
-jitter, heavy dead-time pile-up.  A refactor that keeps the order of
-random draws must keep every digest below.  A change that alters the
-draws re-freezes them and says so in CHANGES.md.  ``manifest.json`` is
-hashed without its wall-clock ``runtime_s``.
+stream of ``generate_run`` in six cells of ``scenarios.GRID``, which reach
+the stream paths no CLI default does: no darks and no jitter, heavy
+dead-time pile-up.  A refactor that keeps the order of random draws must
+keep every digest below.  A change that alters the draws re-freezes them
+and says so in CHANGES.md.  ``manifest.json`` is hashed without its
+wall-clock ``runtime_s``.
 
 ``python tests/test_golden.py`` prints the current tree's digests in the
 layout of ``STREAM_GOLDEN`` and ``GOLDEN``, ready to paste when a declared
@@ -30,6 +30,7 @@ from dataclasses import replace  # noqa: E402
 from qdemux import cli  # noqa: E402
 from qdemux.config import load_config  # noqa: E402
 from qdemux.montecarlo import generate_run  # noqa: E402
+from scenarios import GRID  # noqa: E402
 
 SEED = "7"
 
@@ -53,7 +54,7 @@ GOLDEN = {
         "histogram.csv":
             "9f13bd17b2e3e40661f6b68d781d9ffeda443d1a8307e8780918b173dda01889",
         "manifest.json":
-            "04890736f6c042a26722c63dc113181ceb158042234da8a9f54b8b41dcdcfd8b",
+            "82306ff6751e2374590fa77edd220c027e4913b9caf0356a010c6f29df20c6c4",
         "stats.json":
             "954e2cf83978422e4dc771bd0435db078d27886c11e15cded2084eb43030dcca",
     },
@@ -63,7 +64,7 @@ GOLDEN = {
         "car_mc.csv":
             "316ce58f1df93af01efc697b8bfcd82557382dccd314e219e19330c84023306e",
         "manifest.json":
-            "3d0aa75b7046c6c78628f7ed1d753b00ebb2c03458a2c0356fd400e3cb042d27",
+            "cb35fe89ba94beeb044020b74d75a403c267043cadda3f470756dd25b7581e41",
     },
     "demux": {
         "crosstalk_matrix.csv":
@@ -81,7 +82,7 @@ GOLDEN = {
         "fringe_S3_before.csv":
             "cd6f03094538e78f9ee03bff69e0c596c06a20af63a56bd8660f9a0a8b82fac2",
         "manifest.json":
-            "c6d05b8770fcd10870aaeaf206942b0740b197222ecc110ce89e1535c09fb364",
+            "ada55eb18aaac55d0461d36205181f29678542fb5c31bcc6c4db85afefb5793a",
         "pump_solutions.json":
             "0076d8eed233ce4c6f15738014dccd800b19770883cb27c30dbaf7186f150b11",
         "tags_S1.csv":
@@ -107,29 +108,29 @@ GOLDEN = {
         "fringe_S2_visibility.json":
             "215333664b9b5248defd54f4735b55f25e91cfe65a132a1a6d88b0d587dc600e",
         "manifest.json":
-            "9316db0f022efef2668c2cb925ede47330cffb86f037da10502c2d4e9830fde8",
+            "38a3838d0bc27b70ab2d6a6fd344a9aab021d0c59a5a0aa83229d9bae704bd51",
     },
     "loss": {
         "loss_report.txt":
             "ddf710fd49bc72ef461faa127e6f8cea00800589a6c6db13dc221bee1d8e15fa",
         "manifest.json":
-            "be72dcb091f4b4b0274750407728b7a8af40c93a1196cc1ec6a60ffa5fb0168b",
+            "84ccf5711d3e0d596ac9a7b672d97aff9214e9c86d7ef9397f46da52d2007197",
     },
     "loss-json": {
         "loss_report.json":
             "2e6035759cd778cccb6e9ca1ac7b56fe459e3d9c8f7c451078763974c4fa9943",
         "manifest.json":
-            "0295292a1809cef9ad2f1d3f5055f2a11bf62bc91db1f93f3d5fa1b725734170",
+            "692b6aeb1161fb13d1768277a59098c0d91cc6919770a2915dd2491aa9140bc8",
     },
     "plan": {
         "manifest.json":
-            "9ebcb2c03b574aaa849ac4194f69cc07e737575f20dc4c79f73aaf1a309f7552",
+            "0c0d8bc8a3bf2ee9826690497df83154c50f545f122b79f0c7ba24f8c42ab7fe",
         "plan.csv":
             "042e8338f54dd64e6b4c495770fa98d1e62b1bb250e3173b08e71167a160409b",
     },
     "qpm": {
         "manifest.json":
-            "d3c59187c69aa68f728343d451358ae268329d1391d568709607a7639ea4f46b",
+            "0145a4a127b70d4abcec4cb745eff5011494e21a0dc4d3211e74ac728e2cb98f",
         "qpm_pump_tuning.csv":
             "1b8fe50005634d0bce4d938db33961aa233bd3492aa8ad76948e704db690f657",
         "qpm_solutions.json":
@@ -139,34 +140,20 @@ GOLDEN = {
     },
     "ring": {
         "manifest.json":
-            "90152d6e3ebd6e9f9acdf4752a92a1514dce86673665404e30a3719a610ac635",
+            "9ce63755e4607536b967b4609037d82d696854fc3c764c17280803ce9a4fecf0",
         "ring_transmission.csv":
             "22b6a79024e538638b0760a1f62643f3e8a98a319552005d79816c39d3d1e641",
     },
     "sfg-eff": {
         "manifest.json":
-            "ba70cb79e910303c4d07ee3a0af3455e5df6fea89dbc72423820f7f55a825cdf",
+            "95f2f31161b6f9f45d4a467a0e9702024ab0eff13997f845982cbcf3b62b49be",
         "sfg_efficiency.csv":
             "c53e3849b09d3499b239ead296c95cefcfb64d9a25df102281f1691f322b2d77",
     },
 }
 
 
-def _quiet(det):
-    return replace(det, dark_rate_hz=0.0, timing_jitter_sigma_ps=0.0)
-
-
-# scenario name -> edit of the default scenario, each run for 3 s at seeds 1 and 2
-STREAM_GRID = {
-    "baseline": lambda c: c,
-    "no_umis": lambda c: replace(c, include_umis=False),
-    "800uW": lambda c: replace(c, chip_power_uw=800.0),
-    "unconverted": lambda c: replace(c, convert_signal=False),
-    "no_darks_no_jitter": lambda c: replace(c, apd1=_quiet(c.apd1), apd2=_quiet(c.apd2)),
-    "heavy_dead_time": lambda c: replace(c, apd1=replace(c.apd1, dead_time_us=100.0),
-                                         apd2=replace(c.apd2, dead_time_us=100.0)),
-}
-
+# grid cell -> digest of its streams, each run for 3 s at seeds 1 and 2
 STREAM_GOLDEN = {
     "800uW":
         "d414615b6d92f94ec34a3d5aa8bfdd2bedb116b3d3107f5ebf84f248e50b4661",
@@ -187,7 +174,7 @@ def stream_digest(name: str) -> str:
     """Digest of every detected stream (label, then int64 times) of one grid cell."""
     h = hashlib.sha256()
     for seed in (1, 2):
-        cfg = STREAM_GRID[name](replace(load_config(None), duration_s=3.0, seed=seed))
+        cfg = GRID[name](replace(load_config(None), duration_s=3.0, seed=seed))
         run = generate_run(cfg)
         for stream in (run.signal_stream, *run.idler_streams.values()):
             h.update(stream.label.encode() + b"\0")
@@ -224,14 +211,14 @@ def test_cli_outputs_match_golden_digests(name, tmp_path):
     assert run_digests(name, tmp_path / name) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_GRID))
+@pytest.mark.parametrize("name", sorted(STREAM_GOLDEN))
 def test_generate_run_streams_match_golden_digests(name):
     assert stream_digest(name) == STREAM_GOLDEN[name]
 
 
 if __name__ == "__main__":
     print("STREAM_GOLDEN = {")
-    for name in sorted(STREAM_GRID):
+    for name in sorted(STREAM_GOLDEN):
         print(f'    "{name}":\n        "{stream_digest(name)}",')
     print("}")
     with tempfile.TemporaryDirectory() as tmp:

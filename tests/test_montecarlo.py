@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qdemux.analysis import fit_visibility
 from qdemux.channel_plan import build_plan, wavelength_to_frequency
 from qdemux.config import load_config
 from qdemux.detection import DetectorSpec, LossEntry, LossLedger, db_to_linear
@@ -13,6 +14,7 @@ from qdemux.montecarlo import (
     ScenarioConfig,
     _lone_times,
     _truncated_laplace,
+    demux_crosstalk,
     fringe_scan,
     generate_run,
     operating_point,
@@ -24,9 +26,12 @@ from qdemux.sfg import (
     ConversionCurve,
     CrystalSpec,
     PumpLaser,
+    UnaddressableChannelError,
     acceptance,
     matched_signal_nm,
 )
+
+from scenarios import GRID
 
 
 def ideal_config(pair_rate_hz=1e4, duration_s=1.0, phase=0.0, visibility=1.0,
@@ -216,28 +221,18 @@ def _expected_singles_hz(cfg):
     return rates
 
 
-@pytest.mark.parametrize("fields, detector_fields, converted_hz", [
-    # S2' by hand: the 2000/s calibration target, halved by the
-    # interferometer, + 1000/s darks + about 1.4/s leaked from S1 and S3;
-    # without interferometers 2000 + 1000 + 2.9/s
-    pytest.param({}, {}, 2001.4, id="baseline"),
-    pytest.param({"include_umis": False}, {}, 3002.9, id="no_interferometers"),
-    pytest.param({"convert_signal": False}, {}, None, id="unconverted"),
-    pytest.param({"chip_power_uw": 50.0}, {}, None, id="50uW"),
-    pytest.param({"chip_power_uw": 800.0}, {}, None, id="800uW"),
-    pytest.param({}, {"dark_rate_hz": 0.0, "timing_jitter_sigma_ps": 0.0}, None,
-                 id="no_darks_or_jitter"),
-    pytest.param({}, {"dead_time_us": 100.0}, None, id="dead_time_100us"),
-    pytest.param({"simulate_all_channels": False}, {}, None, id="one_channel"),
-])
-def test_default_scenario_singles_rates_match_analytic_chain(default_config, fields,
-                                                             detector_fields, converted_hz):
-    cfg = replace(default_config, duration_s=10.0, **fields,
-                  apd1=replace(default_config.apd1, **detector_fields),
-                  apd2=replace(default_config.apd2, **detector_fields))
+# S2' by hand: the 2000/s calibration target, halved by the interferometer,
+# + 1000/s darks + about 1.4/s leaked from S1 and S3; without
+# interferometers 2000 + 1000 + 2.9/s
+CONVERTED_HZ = {"baseline": 2001.4, "no_umis": 3002.9}
+
+
+@pytest.mark.parametrize("cell", GRID)
+def test_default_scenario_singles_rates_match_analytic_chain(default_config, cell):
+    cfg = GRID[cell](replace(default_config, duration_s=10.0))
     expected = _expected_singles_hz(cfg)
-    if converted_hz is not None:
-        assert expected["S2'"] == pytest.approx(converted_hz, abs=0.05)
+    if cell in CONVERTED_HZ:
+        assert expected["S2'"] == pytest.approx(CONVERTED_HZ[cell], abs=0.05)
     run = generate_run(cfg)
     streams = [run.signal_stream, *run.idler_streams.values()]
     assert sorted(s.label for s in streams) == sorted(expected)
@@ -311,16 +306,11 @@ def test_unaddressable_channel_raises_scenario_error(default_config):
     cfg = replace(default_config,
                   sfg_pump=PumpLaser(wavelength_nm=794.95, window_nm=(794.9, 795.0)),
                   active_label="S1", duration_s=0.1)
-    from qdemux.sfg import UnaddressableChannelError
     with pytest.raises(UnaddressableChannelError):
         generate_run(cfg)
 
 
 def test_crosstalk_matrix_diagonally_dominant(default_config):
-    from qdemux.montecarlo import demux_crosstalk
-    from qdemux.sfg import acceptance, matched_signal_nm, solve_pump_wavelength
-    from qdemux.channel_plan import wavelength_to_frequency
-
     xtalk = demux_crosstalk(default_config, duration_s=20.0)
     matrix = xtalk["matrix"]
     crystal = default_config.crystal
@@ -343,10 +333,9 @@ def test_crosstalk_matrix_diagonally_dominant(default_config):
 
 
 def test_fringe_scan_pipeline_recovers_high_visibility(default_config):
-    cfg = replace(default_config, simulate_all_channels=False)
+    cfg = GRID["one_channel"](default_config)
     phases = np.arange(6) * 2.0 * np.pi / 6.0
     scan = fringe_scan(cfg, phases, accumulation_s=10.0)
-    from qdemux.analysis import fit_visibility
     result = fit_visibility(scan)
     assert result.v_raw > 0.9
     assert result.v_net >= result.v_raw
